@@ -13,6 +13,7 @@
 open Bechamel
 module W = Segdb_workload.Workload
 module Db = Segdb_core.Segdb
+module Exec = Segdb_exec.Exec
 module Rng = Segdb_util.Rng
 module Harness = Segdb_experiments.Harness
 module Registry = Segdb_experiments.Registry
@@ -316,9 +317,9 @@ let run_obs_overhead () =
 (* ---------------- parallel query throughput ---------------- *)
 
 (* The read path split in action: one database, per-domain readers,
-   whole batches answered by [Segdb.parallel_query]. Scaling beyond
-   1 domain requires that many hardware threads — the JSON records the
-   machine's count so flat curves are attributable. *)
+   whole batches answered by [Exec.run] on the default pool. Scaling
+   beyond 1 domain requires that many hardware threads — the JSON
+   records the machine's count so flat curves are attributable. *)
 
 let run_parallel_throughput () =
   let n = if quick then 1 lsl 12 else 1 lsl 15 in
@@ -340,13 +341,18 @@ let run_parallel_throughput () =
       Array.iter (fun q -> ignore (Db.count db q)) queries;
       let qps domains =
         let readers = Array.init domains (fun _ -> Db.reader db) in
-        ignore (Db.parallel_query ~readers db queries ~domains);
+        let batch () =
+          ignore
+            (Exec.run ~readers (Exec.default ()) db
+               (Exec.request ~degraded_ok:false queries) ~domains)
+        in
+        batch ();
         let min_elapsed = if quick then 0.05 else 0.3 in
         let batches = ref 0 in
         let t0 = Unix.gettimeofday () in
         let elapsed = ref 0.0 in
         while !elapsed < min_elapsed do
-          ignore (Db.parallel_query ~readers db queries ~domains);
+          batch ();
           incr batches;
           elapsed := Unix.gettimeofday () -. t0
         done;
@@ -376,25 +382,21 @@ let run_parallel_throughput () =
   Printf.printf "(machine reports %d hardware thread(s))\n"
     (Domain.recommended_domain_count ())
 
-(* ---------------- execution engine: pool vs spawn ---------------- *)
+(* ---------------- execution engine: pool and deadline ---------------- *)
 
-(* What the persistent pool buys over spawn-per-batch: the same warm
-   batch answered via the legacy spawning executor and via [Exec.run]
-   on a pre-created pool, at 1/2/4 participating domains. The spawning
-   path pays domain creation + teardown on every call; the pool path
-   only enqueues. Then the deadline in action: a thrashing naive scan
-   (shared pool far smaller than the index) with and without a tight
-   budget — cooperative cancellation at block-fetch granularity means
-   the cold reads charged to the workers' readers plateau instead of
-   running the whole batch.
+(* The persistent pool on its own: the same warm batch answered via
+   [Exec.run] on a pre-created pool sized for the domain count, at
+   1/2/4 participating domains. Then the deadline in action: a
+   thrashing naive scan (shared pool far smaller than the index) with
+   and without a tight budget — cooperative cancellation at block-fetch
+   granularity means the cold reads charged to the workers' readers
+   plateau instead of running the whole batch.
 
-   JSON rows: [exec_spawn]/[exec_pool] carry queries_per_sec per
-   [domains]; [deadline_full]/[deadline_tight] carry the total cold
-   reads in [blocks_per_op] and the answered-query count in
-   [domains]. *)
+   JSON rows: [exec_pool] carries queries_per_sec per [domains];
+   [deadline_full]/[deadline_tight] carry the total cold reads in
+   [blocks_per_op] and the answered-query count in [domains]. *)
 
 let run_exec_pool () =
-  let module Exec = Segdb_exec.Exec in
   let n = if quick then 1 lsl 12 else 1 lsl 15 in
   let span = 1000.0 in
   let segs = W.uniform (Rng.create 42) ~n ~span in
@@ -406,10 +408,8 @@ let run_exec_pool () =
   let table =
     Segdb_util.Table.create
       ~title:
-        (Printf.sprintf
-           "execution engine: spawn-per-batch vs persistent pool (solution2, %d-query batches)"
-           nq)
-      ~columns:[ "domains"; "spawn q/s"; "pool q/s"; "pool/spawn" ]
+        (Printf.sprintf "execution engine: persistent pool (solution2, %d-query batches)" nq)
+      ~columns:[ "domains"; "pool q/s" ]
   in
   List.iter
     (fun domains ->
@@ -427,39 +427,26 @@ let run_exec_pool () =
         float_of_int (!batches * nq) /. !elapsed
       in
       let pool = Exec.create ~workers:(max 1 (domains - 1)) () in
-      let spawn_f () = ignore (Db.parallel_query_spawning ~readers db queries ~domains) in
-      (* degraded_ok:false matches the engine hook behind
-         [Segdb.parallel_query] — same per-query work as the spawning
-         baseline *)
       let pool_f () =
         ignore (Exec.run ~readers pool db (Exec.request ~degraded_ok:false queries) ~domains)
       in
-      (* interleaved best-of-3: a background load burst hitting one
-         trial does not decide the comparison *)
-      let spawn_q = ref 0.0 and pool_q = ref 0.0 in
+      (* best-of-3: a background load burst hitting one trial does not
+         decide the figure *)
+      let pool_q = ref 0.0 in
       for _ = 1 to 3 do
-        spawn_q := Float.max !spawn_q (qps spawn_f);
         pool_q := Float.max !pool_q (qps pool_f)
       done;
-      let spawn_q = !spawn_q and pool_q = !pool_q in
+      let pool_q = !pool_q in
       Exec.shutdown pool;
-      List.iter
-        (fun (op, q) ->
-          add_json
-            {
-              (row "solution2" op) with
-              ns_per_op = Some (1e9 /. q);
-              queries_per_sec = Some q;
-              domains = Some domains;
-            })
-        [ ("exec_spawn", spawn_q); ("exec_pool", pool_q) ];
+      add_json
+        {
+          (row "solution2" "exec_pool") with
+          ns_per_op = Some (1e9 /. pool_q);
+          queries_per_sec = Some pool_q;
+          domains = Some domains;
+        };
       Segdb_util.Table.add_row table
-        [
-          string_of_int domains;
-          Segdb_util.Table.cell_float ~decimals:0 spawn_q;
-          Segdb_util.Table.cell_float ~decimals:0 pool_q;
-          Segdb_util.Table.cell_float ~decimals:2 (pool_q /. spawn_q);
-        ])
+        [ string_of_int domains; Segdb_util.Table.cell_float ~decimals:0 pool_q ])
     [ 1; 2; 4 ];
   Segdb_util.Table.print table;
   (* deadline plateau: naive scans thrashing a tiny shared pool, so
@@ -474,7 +461,7 @@ let run_exec_pool () =
     let outcome, stats =
       Exec.run ~readers pool slow_db (Exec.request ~deadline_ms slow_qs) ~domains:2
     in
-    let reads = Array.fold_left (fun acc (s : Db.worker_stats) -> acc + s.reads) 0 stats in
+    let reads = Array.fold_left (fun acc (s : Exec.worker_stats) -> acc + s.reads) 0 stats in
     let answered =
       match outcome with
       | Exec.Ok out | Exec.Degraded (out, _) -> Array.length out
@@ -794,7 +781,7 @@ let () =
   run_obs_overhead ();
   Printf.printf "\n=== parallel query throughput ===\n\n";
   run_parallel_throughput ();
-  Printf.printf "\n=== execution engine: pool vs spawn ===\n\n";
+  Printf.printf "\n=== execution engine: pool and deadline ===\n\n";
   run_exec_pool ();
   Printf.printf "\n=== loopback serving throughput ===\n\n";
   run_net_throughput ();

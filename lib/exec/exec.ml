@@ -62,6 +62,20 @@ let pp_outcome ppf = function
   | Cancelled { partial; completed } ->
       Format.fprintf ppf "cancelled (%d/%d completed)" completed (Array.length partial)
 
+(* Per-participant accounting for one [run] batch: how the work and
+   the I/O spread across domains. *)
+type worker_stats = {
+  worker : int;
+  queries : int; (* queries this participant answered *)
+  reads : int; (* cold block reads charged to its reader *)
+  cache_hits : int; (* lookups served by the reader's own shard *)
+  cache_misses : int;
+}
+
+let pp_worker_stats ppf w =
+  Format.fprintf ppf "worker %d: queries=%d reads=%d cache=%d/%d" w.worker w.queries
+    w.reads w.cache_hits (w.cache_hits + w.cache_misses)
+
 (* ---------------- the pool ---------------- *)
 
 type job = unit -> unit
@@ -176,7 +190,7 @@ let query_one ~degraded_ok db r q =
 
 type stop_reason = R_fault of exn * Printexc.raw_backtrace | R_deadline | R_cancel
 
-(* The core of [run] and of the [Segdb.parallel_query] engine hook.
+(* The fan-out behind [run].
 
    Shape: the caller is participant 0-or-later (slots are claimed with
    a fetch-and-add, first come first slotted); up to [domains - 1]
@@ -190,12 +204,12 @@ type stop_reason = R_fault of exn * Printexc.raw_backtrace | R_deadline | R_canc
    [closed] (the pool was busy; the batch is already done) sees the
    flag and exits without touching the arrays, so stale helpers are
    harmless no-ops. *)
-let run_batch pool ?readers ?flag ?(request_id = 0) ~deadline_ns ~degraded_ok db qs ~domains =
+let run_batch pool ?readers ?flag ~request_id ~deadline_ns ~degraded_ok db qs ~domains =
   let n = Array.length qs in
   let out = Array.make n [] in
   let stats =
     Array.init domains (fun k ->
-        { Db.worker = k; queries = 0; reads = 0; cache_hits = 0; cache_misses = 0 })
+        { worker = k; queries = 0; reads = 0; cache_hits = 0; cache_misses = 0 })
   in
   let pfaults = Array.make domains [] in
   let next = Atomic.make 0 in
@@ -251,7 +265,7 @@ let run_batch pool ?readers ?flag ?(request_id = 0) ~deadline_ns ~degraded_ok db
         let install () =
           (* attribute this participant's spans to the request; helpers
              run on pool domains whose DLS id would otherwise be stale *)
-          if request_id <> 0 && Obs.Control.enabled () then
+          if Obs.Control.enabled () then
             Obs.Trace.with_request_id request_id (fun () ->
                 Cancel.install h (fun () -> loop true))
           else Cancel.install h (fun () -> loop true)
@@ -270,7 +284,7 @@ let run_batch pool ?readers ?flag ?(request_id = 0) ~deadline_ns ~degraded_ok db
         | None -> ());
         stats.(k) <-
           {
-            Db.worker = k;
+            worker = k;
             queries = !served;
             reads = Io_stats.reads (Db.reader_io r) - r0;
             cache_hits = Read_context.cache_hits r - h0;
@@ -340,18 +354,18 @@ let run ?readers ?cancel pool db req ~domains =
   let t0 = if slow then Obs.Trace.now_ns () else 0 in
   let ((outcome, stats) as res) =
     (* the caller participates, so its own spans need the id too *)
-    if req.rq_id <> 0 && Obs.Control.enabled () then
+    if Obs.Control.enabled () then
       Obs.Trace.with_request_id req.rq_id traced
     else traced ()
   in
   if slow then
     Obs.Slowlog.note ~wall_ns:(Obs.Trace.now_ns () - t0) (fun () ->
-        let blocks = Array.fold_left (fun a (s : Db.worker_stats) -> a + s.reads) 0 stats in
+        let blocks = Array.fold_left (fun a (s : worker_stats) -> a + s.reads) 0 stats in
         let hits =
-          Array.fold_left (fun a (s : Db.worker_stats) -> a + s.cache_hits) 0 stats
+          Array.fold_left (fun a (s : worker_stats) -> a + s.cache_hits) 0 stats
         in
         let misses =
-          Array.fold_left (fun a (s : Db.worker_stats) -> a + s.cache_misses) 0 stats
+          Array.fold_left (fun a (s : worker_stats) -> a + s.cache_misses) 0 stats
         in
         slowlog_entry ~request_id:req.rq_id ~wall_ns:(Obs.Trace.now_ns () - t0)
           ~queue_wait_ns:0 ~blocks ~cache_hits:hits ~cache_misses:misses req outcome);
@@ -611,22 +625,3 @@ let default () =
   in
   Mutex.unlock default_m;
   p
-
-(* ---------------- the Segdb engine hook ----------------
-
-   Linking this library routes [Segdb.parallel_query] (and the _stats
-   variant) through the default pool: no deadline, no cancellation,
-   faults re-raised — byte-for-byte the spawning executor's contract,
-   minus the per-call domain spawns. [Segdb] handles [domains = 1]
-   inline before consulting the engine. *)
-
-let engine ?readers db qs ~domains =
-  let pool = default () in
-  match
-    run_batch pool ?readers ~deadline_ns:0 ~degraded_ok:false db qs ~domains
-  with
-  | Ok out, stats -> (out, stats)
-  | (Degraded _ | Deadline_exceeded _ | Overloaded | Cancelled _), _ ->
-      assert false (* no deadline, no flag, faults raise: only Ok is reachable *)
-
-let () = Db.set_batch_engine engine

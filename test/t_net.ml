@@ -11,6 +11,7 @@ module Metrics = Segdb_obs.Metrics
 module W = Segdb_workload.Workload
 module Rng = Segdb_util.Rng
 module Db = Segdb_core.Segdb
+module Exec = Segdb_exec.Exec
 module Vquery = Segdb_geom.Vquery
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -356,7 +357,7 @@ let random_queries ?(n = 64) seed =
           Vquery.segment ~x ~ylo:y ~yhi:(y +. Rng.float rng 40.0))
 
 (* The acceptance criterion: a served batch is byte-identical to the
-   in-process parallel engine's answer. *)
+   in-process engine's answer ([Exec.run] on the default pool). *)
 let test_loopback_parity () =
   let db = build_db () in
   with_server db (fun addr ->
@@ -367,10 +368,17 @@ let test_loopback_parity () =
           Client.ping c;
           let qs = random_queries 7 in
           let served = Client.batch c qs in
-          let local = Db.parallel_query db qs ~domains:2 in
+          let local =
+            match
+              Exec.run (Exec.default ()) db (Exec.request ~degraded_ok:false qs) ~domains:2
+            with
+            | Exec.Ok out, _ -> out
+            | o, _ ->
+                Alcotest.failf "local batch: %s" (Format.asprintf "%a" Exec.pp_outcome o)
+          in
           Alcotest.(check bool) "batch complete" true served.Db.Degraded.complete;
           Alcotest.(check bool) "no faults" true (served.Db.Degraded.faults = []);
-          Alcotest.(check bool) "served batch = parallel_query" true
+          Alcotest.(check bool) "served batch = local Exec.run" true
             (served.Db.Degraded.value = local);
           let frame_of results =
             Wire.encode_response (Wire.Batch_ids { results; complete = true; faults = [] })
