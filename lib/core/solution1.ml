@@ -95,7 +95,14 @@ let rec build_node t (segs : Segment.t array) : Block_store.addr =
 let build (cfg : Vs_index.config) segs =
   let store = Store.create ~name:"sol1" ~pool:cfg.pool ~stats:cfg.stats () in
   let t =
-    { store; cfg; by_id = Hashtbl.create 1024; root = Block_store.null; size = 0; deletes = 0 }
+    {
+      store;
+      cfg;
+      by_id = Hashtbl.create (Array.length segs);
+      root = Block_store.null;
+      size = 0;
+      deletes = 0;
+    }
   in
   Array.iter (fun (s : Segment.t) -> Hashtbl.replace t.by_id s.id s) segs;
   if Hashtbl.length t.by_id <> Array.length segs then
@@ -115,7 +122,6 @@ let query t (q : Vquery.t) ~f =
       f (Hashtbl.find t.by_id id)
     end
   in
-  let emit_lseg (ls : Lseg.t) = emit ls.Lseg.id in
   let rec go addr =
     if addr <> Block_store.null then
       match Store.read t.store addr with
@@ -127,16 +133,16 @@ let query t (q : Vquery.t) ~f =
             | Some c -> Itree.overlap c ~lo:q.ylo ~hi:q.yhi ~f:(fun iv -> emit iv.seg.Segment.id)
             | None -> ());
             let lq = Lseg.query ~uq:0.0 ~vlo:q.ylo ~vhi:q.yhi in
-            Pst.query n.l lq ~f:emit_lseg;
-            Pst.query n.r lq ~f:emit_lseg
+            Pst.query n.l lq ~f:emit;
+            Pst.query n.r lq ~f:emit
             (* all segments touching the base line live here: stop *)
           end
           else if q.x < n.xb then begin
-            Pst.query n.l (Lseg.query ~uq:(n.xb -. q.x) ~vlo:q.ylo ~vhi:q.yhi) ~f:emit_lseg;
+            Pst.query n.l (Lseg.query ~uq:(n.xb -. q.x) ~vlo:q.ylo ~vhi:q.yhi) ~f:emit;
             go n.left
           end
           else begin
-            Pst.query n.r (Lseg.query ~uq:(q.x -. n.xb) ~vlo:q.ylo ~vhi:q.yhi) ~f:emit_lseg;
+            Pst.query n.r (Lseg.query ~uq:(q.x -. n.xb) ~vlo:q.ylo ~vhi:q.yhi) ~f:emit;
             go n.right
           end
   in

@@ -157,7 +157,7 @@ let build (cfg : Vs_index.config) segs =
       store;
       cfg;
       branching = max 4 (cfg.block / 4);
-      by_id = Hashtbl.create 1024;
+      by_id = Hashtbl.create (Array.length segs);
       root = Block_store.null;
       size = 0;
       deletes = 0;
@@ -181,7 +181,6 @@ let query t (q : Vquery.t) ~f =
       f (Hashtbl.find t.by_id id)
     end
   in
-  let emit_lseg (ls : Lseg.t) = emit ls.Lseg.id in
   let emit_frag (s : Segment.t) = emit s.id in
   let rec go addr =
     if addr <> Block_store.null then
@@ -201,18 +200,18 @@ let query t (q : Vquery.t) ~f =
             | Some c -> Itree.overlap c ~lo:q.ylo ~hi:q.yhi ~f:(fun iv -> emit iv.seg.Segment.id)
             | None -> ());
             let lq = Lseg.query ~uq:0.0 ~vlo:q.ylo ~vhi:q.yhi in
-            Pst.query n.ls.(i) lq ~f:emit_lseg;
-            Pst.query n.rs.(i) lq ~f:emit_lseg
+            Pst.query n.ls.(i) lq ~f:emit;
+            Pst.query n.rs.(i) lq ~f:emit
           end
           else begin
             if k <= m - 1 then
               Pst.query n.ls.(k)
                 (Lseg.query ~uq:(n.boundaries.(k) -. q.x) ~vlo:q.ylo ~vhi:q.yhi)
-                ~f:emit_lseg;
+                ~f:emit;
             if k >= 1 then
               Pst.query n.rs.(k - 1)
                 (Lseg.query ~uq:(q.x -. n.boundaries.(k - 1)) ~vlo:q.ylo ~vhi:q.yhi)
-                ~f:emit_lseg
+                ~f:emit
           end;
           go n.kids.(k)
   in

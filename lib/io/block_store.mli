@@ -1,10 +1,15 @@
 (** Simulated secondary storage.
 
-    A block store holds typed blocks addressed by integers. A bounded LRU
-    buffer pool sits in front of a simulated disk (a hash table): reading
-    a non-resident block charges one read I/O, evicting or flushing a
-    dirty block charges one write I/O. Resident accesses are free, exactly
-    matching the external-memory model the paper's bounds are stated in.
+    A block store holds typed blocks addressed by integers, in one frame
+    table: a frame per live block carries its payload and a pool slot
+    (resident and dirty bits). A bounded LRU buffer pool of slots decides
+    which blocks are resident; a frame whose slot is not resident stands
+    for the block's copy on the simulated disk. Reading a non-resident
+    block charges one read I/O, evicting or flushing a dirty block
+    charges one write I/O. Resident accesses are free, exactly matching
+    the external-memory model the paper's bounds are stated in. A store
+    costs a few dozen words plus a few words per block, so memory grows
+    with blocks, not with the number of stores.
 
     All structures of one index share a single {!Io_stats.t} so that an
     index's total cost is observable at one place, and they may share a
@@ -13,7 +18,7 @@
 
     {b Read contexts.} When a {!Read_context.t} is installed on the
     current domain ({!Read_context.with_reader}), [read] switches to a
-    pure lookup path: shared pool, shared stats and store tables are
+    pure lookup path: shared pool, shared stats and store frames are
     consulted without being modified, cold misses are charged to the
     reader's own counter and cached in the reader's own LRU shard, and
     [alloc]/[write]/[free]/[flush] raise [Invalid_argument]. Outside a
@@ -68,10 +73,11 @@ end) : sig
       address. *)
 
   val write : t -> addr -> P.t -> unit
-  (** Replaces the block's payload, marking it dirty. Charges one read on
-      a pool miss? No — overwriting does not need the old contents, so a
-      miss charges nothing at write time; the dirty page is charged one
-      write when evicted or flushed. *)
+  (** Replaces the block's payload, marks it dirty and makes it resident.
+      A whole-block overwrite does not need the old contents, so writing
+      a non-resident block charges no read; the dirty block is charged
+      one write when it is evicted or flushed. Raises [Invalid_argument]
+      on a freed or unknown address. *)
 
   val free : t -> addr -> unit
   (** Discards the block without write-back. *)

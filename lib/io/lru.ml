@@ -55,6 +55,14 @@ let find t key =
       push_front t node;
       Some node.value
 
+let touch t key =
+  match Hashtbl.find t.table key with
+  | exception Not_found -> t.misses <- t.misses + 1
+  | node ->
+      t.hits <- t.hits + 1;
+      unlink t node;
+      push_front t node
+
 let hits t = t.hits
 let misses t = t.misses
 let note_miss t = t.misses <- t.misses + 1

@@ -17,6 +17,9 @@ val length : 'a t -> int
 val find : 'a t -> int -> 'a option
 (** Touches the binding (moves it to most-recently-used). *)
 
+val touch : 'a t -> int -> unit
+(** {!find} without building the [Some] result; counted the same. *)
+
 val mem : 'a t -> int -> bool
 (** Does not touch recency. *)
 

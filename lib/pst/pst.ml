@@ -156,44 +156,74 @@ let block_count t = Store.block_count t.store
 
 (* ---------------- query ---------------- *)
 
-(* Witness bounds: [lo] is a scanned segment known to cross strictly
-   left of the query range, [hi] one crossing strictly right. By the NCT
-   order lemma no match can have key <= key(lo) or >= key(hi), so whole
-   subtrees are pruned through their routers. *)
+(* The state of one search. Witness bounds: [lo] is a scanned segment
+   known to cross strictly left of the query range, [hi] one crossing
+   strictly right. By the NCT order lemma no match can have key <=
+   key(lo) or >= key(hi), so whole subtrees are pruned through their
+   routers. [best] is Find's answer so far. [unset] (physically) marks
+   a bound not found yet, so tightening one allocates nothing. *)
+type cursor = {
+  q : Lseg.query;
+  mutable lo : Lseg.t;
+  mutable hi : Lseg.t;
+  mutable best : Lseg.t;
+}
 
-let query t (q : Lseg.query) ~f =
-  Probe.span t.io "pst.report" @@ fun () ->
-  let lo = ref None and hi = ref None in
-  let pruned (c : child) =
-    (match !lo with Some w -> Lseg.compare_key c.kmax w <= 0 | None -> false)
-    || match !hi with Some w -> Lseg.compare_key c.kmin w >= 0 | None -> false
-  in
-  let scan (s : Lseg.t) =
-    if Lseg.reaches s q.uq then begin
-      let cv = Lseg.cross_v s q.uq in
-      if cv < q.vlo then (
-        match !lo with
-        | Some w when Lseg.compare_key w s >= 0 -> ()
-        | _ -> lo := Some s)
-      else if cv > q.vhi then (
-        match !hi with
-        | Some w when Lseg.compare_key w s <= 0 -> ()
-        | _ -> hi := Some s)
-      else f s
-    end
-  in
-  let rec visit (c : child) =
-    if c.addr <> Block_store.null && c.top >= q.uq && not (pruned c) then begin
-      let n = Store.read t.store c.addr in
-      Array.iter scan n.segs;
-      Array.iter visit n.children
-    end
-  in
-  visit t.root
+let unset = Lseg.make ~base_v:0.0 ~far_u:0.0 ~far_v:0.0 ()
+let cursor q = { q; lo = unset; hi = unset; best = unset }
+
+(* Whether the query intersects [s]. A segment that reaches the query
+   depth but crosses outside the range tightens the witness on its side
+   instead. The crossing is {!Lseg.cross_v}, computed inline so the
+   floats stay unboxed. *)
+let classify c (s : Lseg.t) =
+  let q = c.q in
+  let fu = s.far_u in
+  fu >= q.uq
+  &&
+  let bv = s.base_v in
+  let cv = if q.uq = 0.0 || fu = 0.0 then bv else bv +. ((s.far_v -. bv) *. (q.uq /. fu)) in
+  if cv < q.vlo then begin
+    if c.lo == unset || Lseg.compare_key c.lo s < 0 then c.lo <- s;
+    false
+  end
+  else if cv > q.vhi then begin
+    if c.hi == unset || Lseg.compare_key c.hi s > 0 then c.hi <- s;
+    false
+  end
+  else true
+
+(* Whether the subtree behind router [ch] can still hold a match. *)
+let live c (ch : child) =
+  ch.addr <> Block_store.null
+  && ch.top >= c.q.uq
+  && not
+       ((c.lo != unset && Lseg.compare_key ch.kmax c.lo <= 0)
+       || (c.hi != unset && Lseg.compare_key ch.kmin c.hi >= 0))
+
+(* The report scan: top-level and closure-free, so a query allocates its
+   cursor and nothing per node or segment. *)
+let rec report t c f (ch : child) =
+  if live c ch then begin
+    let n = Store.read t.store ch.addr in
+    let segs = n.segs in
+    for i = 0 to Array.length segs - 1 do
+      let s = segs.(i) in
+      if classify c s then f s.Lseg.id
+    done;
+    for k = 0 to Array.length n.children - 1 do
+      report t c f n.children.(k)
+    done
+  end
+
+let query t q ~f =
+  if Segdb_obs.Control.enabled () then
+    Probe.span t.io "pst.report" (fun () -> report t (cursor q) f t.root)
+  else report t (cursor q) f t.root
 
 let query_list t q =
   let acc = ref [] in
-  query t q ~f:(fun s -> acc := s :: !acc);
+  query t q ~f:(fun id -> acc := id :: !acc);
   !acc
 
 let count t q =
@@ -202,43 +232,38 @@ let count t q =
   !n
 
 (* Find: deepest-leftmost / deepest-rightmost intersected segment
-   (Lemma 1.1). A DFS ordered toward the sought boundary, with witness
-   pruning plus pruning against the best answer found so far. *)
+   (Lemma 1.1). The report scan plus pruning against the best answer
+   found so far. *)
+
+let find_live c ~leftmost (ch : child) =
+  live c ch
+  && (c.best == unset
+     ||
+     if leftmost then Lseg.compare_key ch.kmin c.best < 0
+     else Lseg.compare_key ch.kmax c.best > 0)
+
+let scan_find c ~leftmost (n : node) =
+  Array.iter
+    (fun s ->
+      if
+        classify c s
+        && (c.best == unset
+           ||
+           let k = Lseg.compare_key s c.best in
+           if leftmost then k < 0 else k > 0)
+      then c.best <- s)
+    n.segs
+
+let best c = if c.best == unset then None else Some c.best
+
+(* A DFS ordered toward the sought boundary. *)
 let find_gen t (q : Lseg.query) ~leftmost =
   Probe.span t.io "pst.find" @@ fun () ->
-  let lo = ref None and hi = ref None and best = ref None in
-  let better s =
-    match !best with
-    | None -> true
-    | Some b -> if leftmost then Lseg.compare_key s b < 0 else Lseg.compare_key s b > 0
-  in
-  let pruned (c : child) =
-    (match !lo with Some w -> Lseg.compare_key c.kmax w <= 0 | None -> false)
-    || (match !hi with Some w -> Lseg.compare_key c.kmin w >= 0 | None -> false)
-    ||
-    match !best with
-    | None -> false
-    | Some b ->
-        if leftmost then Lseg.compare_key c.kmin b >= 0 else Lseg.compare_key c.kmax b <= 0
-  in
-  let scan (s : Lseg.t) =
-    if Lseg.reaches s q.uq then begin
-      let cv = Lseg.cross_v s q.uq in
-      if cv < q.vlo then (
-        match !lo with
-        | Some w when Lseg.compare_key w s >= 0 -> ()
-        | _ -> lo := Some s)
-      else if cv > q.vhi then (
-        match !hi with
-        | Some w when Lseg.compare_key w s <= 0 -> ()
-        | _ -> hi := Some s)
-      else if better s then best := Some s
-    end
-  in
-  let rec visit (c : child) =
-    if c.addr <> Block_store.null && c.top >= q.uq && not (pruned c) then begin
-      let n = Store.read t.store c.addr in
-      Array.iter scan n.segs;
+  let c = cursor q in
+  let rec visit (ch : child) =
+    if find_live c ~leftmost ch then begin
+      let n = Store.read t.store ch.addr in
+      scan_find c ~leftmost n;
       let k = Array.length n.children in
       if leftmost then
         for i = 0 to k - 1 do
@@ -251,7 +276,7 @@ let find_gen t (q : Lseg.query) ~leftmost =
     end
   in
   visit t.root;
-  !best
+  best c
 
 let find_leftmost t q = find_gen t q ~leftmost:true
 let find_rightmost t q = find_gen t q ~leftmost:false
@@ -269,58 +294,29 @@ type find_profile = {
 }
 
 let find_profile t (q : Lseg.query) ~leftmost =
-  let lo = ref None and hi = ref None and best = ref None in
-  let better s =
-    match !best with
-    | None -> true
-    | Some b -> if leftmost then Lseg.compare_key s b < 0 else Lseg.compare_key s b > 0
-  in
-  let pruned (c : child) =
-    (match !lo with Some w -> Lseg.compare_key c.kmax w <= 0 | None -> false)
-    || (match !hi with Some w -> Lseg.compare_key c.kmin w >= 0 | None -> false)
-    ||
-    match !best with
-    | None -> false
-    | Some b ->
-        if leftmost then Lseg.compare_key c.kmin b >= 0 else Lseg.compare_key c.kmax b <= 0
-  in
-  let scan (s : Lseg.t) =
-    if Lseg.reaches s q.uq then begin
-      let cv = Lseg.cross_v s q.uq in
-      if cv < q.vlo then (
-        match !lo with
-        | Some w when Lseg.compare_key w s >= 0 -> ()
-        | _ -> lo := Some s)
-      else if cv > q.vhi then (
-        match !hi with
-        | Some w when Lseg.compare_key w s <= 0 -> ()
-        | _ -> hi := Some s)
-      else if better s then best := Some s
-    end
-  in
+  let c = cursor q in
   let visited = ref 0 and max_width = ref 0 and levels = ref 0 in
-  let live (c : child) = c.addr <> Block_store.null && c.top >= q.uq && not (pruned c) in
-  let frontier = ref (if live t.root then [ t.root ] else []) in
+  let frontier = ref (if find_live c ~leftmost t.root then [ t.root ] else []) in
   while !frontier <> [] do
     incr levels;
     let processed = ref 0 in
     let next = ref [] in
     List.iter
-      (fun (c : child) ->
+      (fun (ch : child) ->
         (* re-check: scanning earlier frontier nodes may have tightened
            the witnesses, so most enqueued candidates die unread *)
-        if live c then begin
+        if find_live c ~leftmost ch then begin
           incr visited;
           incr processed;
-          let n = Store.read t.store c.addr in
-          Array.iter scan n.segs;
-          Array.iter (fun ch -> if live ch then next := ch :: !next) n.children
+          let n = Store.read t.store ch.addr in
+          scan_find c ~leftmost n;
+          Array.iter (fun ch -> if find_live c ~leftmost ch then next := ch :: !next) n.children
         end)
       !frontier;
     if !processed > !max_width then max_width := !processed;
     frontier := List.rev !next
   done;
-  { result = !best; visited = !visited; max_width = !max_width; levels = !levels }
+  { result = best c; visited = !visited; max_width = !max_width; levels = !levels }
 
 let find_leftmost_bfs t q = (find_profile t q ~leftmost:true).result
 let find_rightmost_bfs t q = (find_profile t q ~leftmost:false).result
@@ -336,7 +332,7 @@ let query_two_phase t (q : Lseg.query) ~f =
   match (find_leftmost t q, find_rightmost t q) with
   | None, _ | _, None -> ()
   | Some sl, Some sr ->
-      let rec report (c : child) =
+      let rec within (c : child) =
         if
           c.addr <> Block_store.null && c.top >= q.uq
           && Lseg.compare_key c.kmax sl >= 0
@@ -349,12 +345,12 @@ let query_two_phase t (q : Lseg.query) ~f =
                 Lseg.reaches s q.uq
                 && Lseg.compare_key s sl >= 0
                 && Lseg.compare_key s sr <= 0
-              then f s)
+              then f s.id)
             n.segs;
-          Array.iter report n.children
+          Array.iter within n.children
         end
       in
-      report t.root
+      within t.root
 
 (* ---------------- insertion ---------------- *)
 

@@ -76,11 +76,13 @@ val height : t -> int
 val block_count : t -> int
 val node_capacity : t -> int
 
-val query : t -> Lseg.query -> f:(Lseg.t -> unit) -> unit
-(** Reports every stored segment intersected by the query, exactly once,
-    in no particular order. *)
+val query : t -> Lseg.query -> f:(int -> unit) -> unit
+(** Reports the id of every stored segment intersected by the query,
+    exactly once, in no particular order. The scan allocates nothing per
+    segment. *)
 
-val query_list : t -> Lseg.query -> Lseg.t list
+val query_list : t -> Lseg.query -> int list
+(** The ids {!query} reports. *)
 
 val count : t -> Lseg.query -> int
 
@@ -112,7 +114,7 @@ val find_profile : t -> Lseg.query -> leftmost:bool -> find_profile
 val find_leftmost_bfs : t -> Lseg.query -> Lseg.t option
 val find_rightmost_bfs : t -> Lseg.query -> Lseg.t option
 
-val query_two_phase : t -> Lseg.query -> f:(Lseg.t -> unit) -> unit
+val query_two_phase : t -> Lseg.query -> f:(int -> unit) -> unit
 (** The paper's Report as written (Appendix A, Algorithm 2): [Find]
     both boundary segments, then report the 3-sided set between their
     keys — which the NCT order lemma proves equal to the answer. Same

@@ -27,8 +27,7 @@ let query t ~x1 ~x2 ~y ~f =
     (* a vertical lseg crosses depth uq iff its point's y >= y (after
        clamping, which only matters when the whole plane qualifies) *)
     let q = Lseg.query ~uq ~vlo:x1 ~vhi:x2 in
-    Pst.query t.pst q ~f:(fun (ls : Lseg.t) ->
-        let id = ls.Lseg.id in
+    Pst.query t.pst q ~f:(fun id ->
         let px, py = t.points.(id) in
         if py >= y then f id (px, py))
   end

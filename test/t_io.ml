@@ -265,6 +265,139 @@ let prop_store_model =
         (fun k a ok -> ok && S.read s a = Hashtbl.find model k)
         addr_of true)
 
+(* Accounting oracle: random alloc/read/write/free/flush sequences over
+   two stores sharing a 3-block pool, each store charging its own
+   stats, against a reference model of the pool (a list LRU, most
+   recent first) and of every block's payload and dirty bit. After
+   every op the payload read, both stores' reads/writes/allocs and the
+   pool's residency must match the model. *)
+type model_block = { mutable value : int; mutable mdirty : bool }
+
+type store_op =
+  | Alloc of int * int (* store, payload *)
+  | Read of int * int (* store, which live block *)
+  | Write of int * int * int
+  | Free of int * int
+  | Flush of int
+
+let store_op_print = function
+  | Alloc (s, v) -> Printf.sprintf "alloc s%d %d" s v
+  | Read (s, k) -> Printf.sprintf "read s%d #%d" s k
+  | Write (s, k, v) -> Printf.sprintf "write s%d #%d %d" s k v
+  | Free (s, k) -> Printf.sprintf "free s%d #%d" s k
+  | Flush s -> Printf.sprintf "flush s%d" s
+
+let store_op_gen =
+  QCheck.Gen.(
+    let* s = 0 -- 1 and* k = 0 -- 7 and* v = 0 -- 999 in
+    frequency
+      [
+        (3, return (Alloc (s, v)));
+        (5, return (Read (s, k)));
+        (3, return (Write (s, k, v)));
+        (1, return (Free (s, k)));
+        (1, return (Flush s));
+      ])
+
+let prop_store_accounting_oracle =
+  QCheck.Test.make ~name:"block store accounting oracle" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map store_op_print ops))
+       QCheck.Gen.(list_size (0 -- 80) store_op_gen))
+    (fun ops ->
+      let cap = 3 in
+      let pool = Block_store.Pool.create ~capacity:cap in
+      let ios = Array.init 2 (fun _ -> Io_stats.create ()) in
+      let stores = Array.init 2 (fun i -> S.create ~pool ~stats:ios.(i) ()) in
+      (* model: per-store live blocks (address order), their contents,
+         the LRU as (store, addr), and the expected counters *)
+      let live = Array.make 2 [] in
+      let blocks = Hashtbl.create 16 in
+      let lru = ref [] in
+      let reads = Array.make 2 0 and writes = Array.make 2 0 and allocs = Array.make 2 0 in
+      let evict_overflow () =
+        if List.length !lru > cap then begin
+          let victim = List.nth !lru cap in
+          lru := List.filteri (fun i _ -> i < cap) !lru;
+          let s, a = victim in
+          let b = Hashtbl.find blocks a in
+          if b.mdirty then begin
+            b.mdirty <- false;
+            writes.(s) <- writes.(s) + 1
+          end
+        end
+      in
+      let to_front s a =
+        lru := (s, a) :: List.filter (fun (_, a') -> a' <> a) !lru;
+        evict_overflow ()
+      in
+      let resident a = List.exists (fun (_, a') -> a' = a) !lru in
+      let pick s k = match live.(s) with [] -> None | l -> Some (List.nth l (k mod List.length l)) in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      List.iter
+        (fun op ->
+          (match op with
+          | Alloc (s, v) ->
+              let a = S.alloc stores.(s) v in
+              allocs.(s) <- allocs.(s) + 1;
+              live.(s) <- live.(s) @ [ a ];
+              Hashtbl.replace blocks a { value = v; mdirty = true };
+              to_front s a
+          | Read (s, k) -> (
+              match pick s k with
+              | None -> ()
+              | Some a ->
+                  let got = S.read stores.(s) a in
+                  if not (resident a) then reads.(s) <- reads.(s) + 1;
+                  to_front s a;
+                  check (got = (Hashtbl.find blocks a).value))
+          | Write (s, k, v) -> (
+              match pick s k with
+              | None -> ()
+              | Some a ->
+                  S.write stores.(s) a v;
+                  let b = Hashtbl.find blocks a in
+                  b.value <- v;
+                  b.mdirty <- true;
+                  to_front s a)
+          | Free (s, k) -> (
+              match pick s k with
+              | None -> ()
+              | Some a ->
+                  S.free stores.(s) a;
+                  live.(s) <- List.filter (( <> ) a) live.(s);
+                  Hashtbl.remove blocks a;
+                  lru := List.filter (fun (_, a') -> a' <> a) !lru)
+          | Flush s ->
+              S.flush stores.(s);
+              List.iter
+                (fun a ->
+                  let b = Hashtbl.find blocks a in
+                  if b.mdirty then begin
+                    b.mdirty <- false;
+                    writes.(s) <- writes.(s) + 1
+                  end)
+                live.(s));
+          for s = 0 to 1 do
+            check (Io_stats.reads ios.(s) = reads.(s));
+            check (Io_stats.writes ios.(s) = writes.(s));
+            check (Io_stats.allocs ios.(s) = allocs.(s));
+            check (S.block_count stores.(s) = List.length live.(s))
+          done;
+          check (Block_store.Pool.resident pool = List.length !lru))
+        ops;
+      !ok)
+
+(* Memory guard: an empty store costs a few words, not preallocated
+   tables. Each store of an index is one paper-model structure, and an
+   index can hold thousands of small ones. *)
+let test_empty_store_words () =
+  let pool = Block_store.Pool.create ~capacity:1 in
+  let s = S.create ~pool ~stats:(Io_stats.create ()) () in
+  let w = Obj.reachable_words (Obj.repr s) in
+  Alcotest.(check bool) (Printf.sprintf "empty store is %d words (< 200)" w) true (w < 200)
+
 let suite =
   ( "io",
     [
@@ -286,8 +419,10 @@ let suite =
         test_shared_pool_eviction_order;
       Alcotest.test_case "shared pool write-back count" `Quick
         test_shared_pool_writeback_count;
+      Alcotest.test_case "empty store memory guard" `Quick test_empty_store_words;
       qtest prop_lru_model;
       qtest prop_store_model;
+      qtest prop_store_accounting_oracle;
     ] )
 
 (* ---------------- Ext_sort ---------------- *)

@@ -45,6 +45,9 @@ let scenario_arb = QCheck.make ~print:scenario_print scenario_gen
 
 let ids xs = List.map (fun (s : Lseg.t) -> s.Lseg.id) xs |> List.sort compare
 
+(* The ids a PST query reports, sorted. *)
+let answer t q = List.sort compare (Pst.query_list t q)
+
 let oracle segs q = Array.to_list segs |> List.filter (Lseg.matches q)
 
 let build_of (seed, n, cap, branching, _, _, _) =
@@ -59,7 +62,7 @@ let prop_query_oracle =
     (fun ((_, _, _, _, uq, v1, width) as sc) ->
       let t, segs, _ = build_of sc in
       let q = Lseg.query ~uq ~vlo:v1 ~vhi:(v1 +. width) in
-      ids (Pst.query_list t q) = ids (oracle segs q))
+      answer t q = ids (oracle segs q))
 
 let prop_invariants =
   QCheck.Test.make ~name:"pst build invariants" ~count:200 scenario_arb (fun sc ->
@@ -97,7 +100,7 @@ let prop_insert_oracle =
       let q = Lseg.query ~uq ~vlo:v1 ~vhi:(v1 +. width) in
       Pst.check_invariants t
       && Pst.size t = Array.length segs
-      && ids (Pst.query_list t q) = ids (oracle segs q))
+      && answer t q = ids (oracle segs q))
 
 let prop_line_query =
   (* uq = 0 with an unbounded v-range must return everything. *)
@@ -126,7 +129,7 @@ let test_insert_into_empty () =
   Alcotest.(check bool) "invariants" true (Pst.check_invariants t);
   let q = Lseg.query ~uq:3.0 ~vlo:10.0 ~vhi:70.0 in
   Alcotest.(check bool) "query matches oracle" true
-    (ids (Pst.query_list t q) = ids (oracle segs q))
+    (answer t q = ids (oracle segs q))
 
 let test_space_linear () =
   let pool, io = mk_env ~pool:1024 () in
@@ -236,7 +239,7 @@ let prop_delete_oracle =
       ok_del && gone
       && Pst.size t = List.length kept
       && Pst.check_invariants t
-      && ids (Pst.query_list t q) = ids (List.filter (Lseg.matches q) kept))
+      && answer t q = ids (List.filter (Lseg.matches q) kept))
 
 let prop_delete_insert_mix =
   QCheck.Test.make ~name:"pst interleaved insert/delete" ~count:100 scenario_arb
@@ -265,7 +268,7 @@ let prop_delete_insert_mix =
           live []
         |> List.sort compare
       in
-      Pst.check_invariants t && ids (Pst.query_list t q) = expect)
+      Pst.check_invariants t && answer t q = expect)
 
 let suite =
   let name, cases = suite in
@@ -302,9 +305,112 @@ let prop_two_phase_agrees =
       let t, segs, _ = build_of sc in
       let q = Lseg.query ~uq ~vlo:v1 ~vhi:(v1 +. width) in
       let two = ref [] in
-      Pst.query_two_phase t q ~f:(fun s -> two := s :: !two);
-      ids !two = ids (oracle segs q))
+      Pst.query_two_phase t q ~f:(fun id -> two := id :: !two);
+      List.sort compare !two = ids (oracle segs q))
 
 let suite =
   let name, cases = suite in
   (name, cases @ [ qtest prop_two_phase_agrees ])
+
+(* Memory guard: an empty blocked PST over a 1-block pool is a few
+   words (its store holds no preallocated tables). *)
+let test_empty_pst_words () =
+  let pool = Block_store.Pool.create ~capacity:1 in
+  let t = Pst.blocked ~pool ~stats:(Io_stats.create ()) [||] in
+  let w = Obj.reachable_words (Obj.repr t) in
+  Alcotest.(check bool) (Printf.sprintf "empty pst is %d words (< 200)" w) true (w < 200)
+
+(* Oracle under churn: a blocked PST with 4-segment nodes takes
+   interleaved inserts, deletes and queries from a candidate set that is
+   non-crossing as a whole, and every query must equal a brute-force
+   filter of the live set; Find and the two-phase Report must agree with
+   it too. Bases sit on a coarse grid so many segments share a base
+   point (ties broken by slope, then id), one in five segments is a
+   point on the base line (far_u = 0), and a third of the queries run
+   at uq = 0. *)
+let churn_candidates seed n =
+  let rng = Segdb_util.Rng.create seed in
+  let bases = Array.init n (fun _ -> float_of_int (Segdb_util.Rng.int rng 12)) in
+  let slopes = [| -2.0; -1.0; -0.5; 0.0; 0.5; 1.0; 2.0 |] in
+  let ks = Array.init n (fun _ -> Segdb_util.Rng.int rng (Array.length slopes)) in
+  Array.sort compare bases;
+  Array.sort compare ks;
+  Array.init n (fun i ->
+      if Segdb_util.Rng.int rng 5 = 0 then
+        Lseg.make ~id:i ~base_v:bases.(i) ~far_u:0.0 ~far_v:bases.(i) ()
+      else
+        let far_u = float_of_int (1 + Segdb_util.Rng.int rng 10) in
+        Lseg.make ~id:i ~base_v:bases.(i) ~far_u
+          ~far_v:(bases.(i) +. (slopes.(ks.(i)) *. far_u))
+          ())
+
+let prop_churn_oracle =
+  QCheck.Test.make ~name:"pst oracle under churn" ~count:200
+    (QCheck.make
+       ~print:(fun (seed, n, ops) ->
+         Printf.sprintf "seed=%d n=%d ops=%s" seed n
+           (String.concat ";"
+              (List.map (fun (k, i, a, b, c) -> Printf.sprintf "(%d,%d,%d,%d,%d)" k i a b c) ops)))
+       QCheck.Gen.(
+         triple (0 -- 100000) (1 -- 60)
+           (list_size (0 -- 120)
+              (let* k = 0 -- 2 and* i = 0 -- 59 and* a = 0 -- 30 in
+               let* b = 0 -- 60 and* c = 0 -- 20 in
+               return (k, i, a, b, c)))))
+    (fun (seed, n, ops) ->
+      let pool, io = mk_env ~pool:16 () in
+      let cands = churn_candidates seed n in
+      let live = Array.make n false in
+      let k0 = n / 3 in
+      for i = 0 to k0 - 1 do
+        live.(i) <- true
+      done;
+      let t = Pst.blocked ~node_capacity:4 ~pool ~stats:io (Array.sub cands 0 k0) in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      List.iter
+        (fun (kind, i, a, b, c) ->
+          let i = i mod n in
+          match kind with
+          | 0 ->
+              if not live.(i) then begin
+                Pst.insert t cands.(i);
+                live.(i) <- true
+              end
+          | 1 ->
+              check (Pst.delete t cands.(i) = live.(i));
+              live.(i) <- false
+          | _ ->
+              (* uq = 0 when a < 10, else 0.5 .. 10 *)
+              let uq = if a < 10 then 0.0 else float_of_int (a - 10) /. 2.0 in
+              let vlo = float_of_int (b - 25) /. 2.0 in
+              let q = Lseg.query ~uq ~vlo ~vhi:(vlo +. (float_of_int c /. 2.0)) in
+              let expect =
+                Array.to_list cands
+                |> List.filter (fun (s : Lseg.t) -> live.(s.id) && Lseg.matches q s)
+                |> List.sort Lseg.compare_key
+              in
+              check (answer t q = ids expect);
+              let two = ref [] in
+              Pst.query_two_phase t q ~f:(fun id -> two := id :: !two);
+              check (List.sort compare !two = ids expect);
+              let same a b =
+                match (a, b) with
+                | None, [] -> true
+                | Some x, y :: _ -> Lseg.equal x y
+                | _ -> false
+              in
+              check (same (Pst.find_leftmost t q) expect);
+              check (same (Pst.find_rightmost t q) (List.rev expect)))
+        ops;
+      !ok && Pst.check_invariants t
+      && Pst.size t = Array.fold_left (fun acc l -> if l then acc + 1 else acc) 0 live)
+
+let suite =
+  let name, cases = suite in
+  ( name,
+    cases
+    @ [
+        Alcotest.test_case "empty pst memory guard" `Quick test_empty_pst_words;
+        qtest prop_churn_oracle;
+      ] )

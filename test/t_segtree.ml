@@ -293,3 +293,15 @@ let prop_g_delete_oracle =
 let suite =
   let name, cases = suite in
   (name, cases @ [ qtest prop_g_insert_oracle; qtest prop_g_delete_oracle ])
+
+(* Memory guard: an empty packed list over a 1-block pool is a few
+   words. Solution 2 builds hundreds of these lists, mostly small. *)
+let test_empty_plist_words () =
+  let pool = Block_store.Pool.create ~capacity:1 in
+  let t = Pl.build ~pool ~stats:(Io_stats.create ()) [||] in
+  let w = Obj.reachable_words (Obj.repr t) in
+  Alcotest.(check bool) (Printf.sprintf "empty plist is %d words (< 200)" w) true (w < 200)
+
+let suite =
+  let name, cases = suite in
+  (name, cases @ [ Alcotest.test_case "empty plist memory guard" `Quick test_empty_plist_words ])
