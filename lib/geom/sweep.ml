@@ -5,6 +5,10 @@
 
 let sweep_x = ref 0.0
 
+(* Which side of [sweep_x] breaks ties in ordinate: +1 orders as just
+   right of it (for insertions), -1 as just left (for removals). *)
+let side = ref 1
+
 module Key = struct
   type t = Segment.t
 
@@ -13,7 +17,7 @@ module Key = struct
     let c = compare (Segment.y_at a x) (Segment.y_at b x) in
     if c <> 0 then c
     else
-      let c = compare (Segment.slope a) (Segment.slope b) in
+      let c = !side * compare (Segment.slope a) (Segment.slope b) in
       if c <> 0 then c else compare a.Segment.id b.Segment.id
 end
 
@@ -60,8 +64,13 @@ let default_verdict segs =
   else float_crosses
 
 type event = { ex : float; kind : int; seg : Segment.t }
-(* kind: 0 = insert, 1 = vertical, 2 = remove — processed in this order
-   at equal abscissas so verticals see everything active at their x *)
+(* kind: 0 = remove, 1 = vertical, 2 = insert — processed in this order
+   at equal abscissas. A segment ending at x can only touch one
+   starting there, so removals first lose no test; verticals then see
+   every segment spanning x, the only ones their interior can cross;
+   and ties at x are broken by the order just left of x while removing
+   and just right of it while inserting, which is the order the status
+   holds in each phase. *)
 
 let find_crossing ?verdict segs =
   let verdict = match verdict with Some v -> v | None -> default_verdict segs in
@@ -71,8 +80,8 @@ let find_crossing ?verdict segs =
       if Segment.is_point s then () (* a point only ever touches *)
       else if Segment.is_vertical s then events := { ex = s.x1; kind = 1; seg = s } :: !events
       else begin
-        events := { ex = s.x1; kind = 0; seg = s } :: !events;
-        events := { ex = s.x2; kind = 2; seg = s } :: !events
+        events := { ex = s.x1; kind = 2; seg = s } :: !events;
+        events := { ex = s.x2; kind = 0; seg = s } :: !events
       end)
     segs;
   let events =
@@ -84,8 +93,8 @@ let find_crossing ?verdict segs =
   let check a b = if verdict a b then raise (Found (a, b)) in
   let check_opt s = function Some (o, ()) -> check s o | None -> () in
   (* Order-corruption fallback: a failed keyed lookup means the status
-     order broke (ties flipping at a shared right endpoint, or a
-     crossing past the comparator). Test the departing segment against
+     order broke (float rounding in the ordinates, or a crossing past
+     the comparator). Test the departing segment against
      every active one, rebuild the status under the current order, and
      test every *adjacent pair* of the rebuilt order — rebuilding is an
      adjacency-creating event like insert/remove, so skipping the tests
@@ -107,9 +116,10 @@ let find_crossing ?verdict segs =
     List.iter
       (fun ev ->
         sweep_x := ev.ex;
+        side := if ev.kind = 0 then -1 else 1;
         let s = ev.seg in
         match ev.kind with
-        | 0 ->
+        | 2 ->
             status := Status.add s () !status;
             let l, _, r = Status.split s !status in
             check_opt s (Status.max_binding l);

@@ -87,9 +87,19 @@ let suite =
 
 let test_tie_heavy_regression () =
   (* Degenerate tie webs (tiny integer grid, many shared endpoints) are
-     where status order flips at shared right endpoints; the rescue
-     path must re-test adjacency after its rebuild. Deterministic
-     seeds, exact oracle. *)
+     where ordinate ties at an event abscissa decide the status order.
+     Deterministic seeds, exact oracle. *)
+  let at (x1, y1) (x2, y2) i =
+    Segment.make ~id:i (float_of_int x1, float_of_int y1) (float_of_int x2, float_of_int y2)
+  in
+  (* #1 ends on #2 at (6,32), tying with it there while #3 starts at
+     x = 6 and crosses #2: ordering that tie as just right of x = 6
+     while #1 was still in the status hid the #2/#3 crossing *)
+  let web =
+    [| at (-2, 29) (6, 21) 0; at (5, 36) (6, 32) 1; at (5, 31) (12, 38) 2;
+       at (6, 31) (7, 35) 3; at (5, 10) (12, 13) 4 |]
+  in
+  Alcotest.(check bool) "shared-endpoint tie web crosses" false (Sweep.verify_nct web);
   let rng = Rng.create 20260705 in
   for _case = 1 to 400 do
     let n = 5 + Rng.int rng 40 in
