@@ -595,24 +595,21 @@ let run_persistence () =
   let table =
     Segdb_util.Table.create
       ~title:(Printf.sprintf "persistence: n=%d roads, build vs snapshot open (seconds)" n)
-      ~columns:[ "backend"; "build"; "save"; "open img"; "open rebuild"; "snap MB" ]
+      ~columns:[ "backend"; "build"; "save"; "open"; "snap MB" ]
   in
   List.iter
     (fun (name, backend) ->
       let db, t_build = time (fun () -> Db.create ~backend ~block:64 segs) in
       let (), t_save = time (fun () -> Db.save db snap) in
       let mb = float_of_int (Unix.stat snap).Unix.st_size /. 1048576.0 in
-      let (db_img, mode), t_img = time (fun () -> Db.open_db_mode snap) in
-      assert (mode = Db.Restored_image && Db.size db_img = Db.size db);
-      let (db_rb, mode), t_rb = time (fun () -> Db.open_db_mode ~use_image:false snap) in
-      assert (mode = Db.Rebuilt && Db.size db_rb = Db.size db);
+      let reopened, t_open = time (fun () -> Db.open_db snap) in
+      assert (Db.size reopened = Db.size db);
       Segdb_util.Table.add_row table
         [
           name;
           Segdb_util.Table.cell_float ~decimals:3 t_build;
           Segdb_util.Table.cell_float ~decimals:3 t_save;
-          Segdb_util.Table.cell_float ~decimals:3 t_img;
-          Segdb_util.Table.cell_float ~decimals:3 t_rb;
+          Segdb_util.Table.cell_float ~decimals:3 t_open;
           Segdb_util.Table.cell_float ~decimals:1 mb;
         ])
     Db.all_backends;

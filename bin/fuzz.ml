@@ -257,8 +257,7 @@ let run_parallel_round ~seed ~ops ~size ~domains round =
 (* Persistence round: random ops against the facade with a WAL attached,
    snapshots at random points, then a simulated crash — the db is dropped
    and reopened from snapshot + log. Answers before and after the reopen
-   must match each other and the model; both open paths (marshaled image
-   and rebuild) are exercised.
+   must match each other and the model.
 
    All scratch files live under one dedicated temp root, removed on
    exit via [at_exit] — including the failure path, which exits with
@@ -339,20 +338,15 @@ let run_persist_round ~seed ~ops ~size round =
   let before = Array.map (fun q -> List.sort compare (Db.query_ids db q)) queries in
   Db.detach_wal db
   (* crash: the live index is dropped; only snapshot + log survive *);
-  let use_image = Rng.bool rng in
-  let db2, _ = Db.open_db_mode ~use_image snap in
+  let db2 = Db.open_db snap in
   ignore (Db.attach_wal ~sync:false db2 wal);
   if Db.size db2 <> Hashtbl.length model then
-    fail "reopen (%s): size %d vs model %d"
-      (if use_image then "image" else "rebuild")
-      (Db.size db2) (Hashtbl.length model);
+    fail "reopen: size %d vs model %d" (Db.size db2) (Hashtbl.length model);
   Array.iteri
     (fun i q ->
       let after = List.sort compare (Db.query_ids db2 q) in
       if after <> before.(i) then
-        fail "reopen (%s): answers differ on %s"
-          (if use_image then "image" else "rebuild")
-          (Format.asprintf "%a" Vquery.pp q);
+        fail "reopen: answers differ on %s" (Format.asprintf "%a" Vquery.pp q);
       if after <> Model.query model q then
         fail "reopen: recovered db diverged from model on %s"
           (Format.asprintf "%a" Vquery.pp q))
@@ -458,8 +452,7 @@ let run_crash_db_round ~seed ~ops ~size ~site round =
   (* the process is "dead": drop the handles without any clean-up write *)
   (try Db.detach_wal db with _ -> ());
   (* recovery: snapshot + WAL replay *)
-  let use_image = Rng.bool rng in
-  let db2, _ = Db.open_db_mode ~use_image snap in
+  let db2 = Db.open_db snap in
   ignore (Db.attach_wal ~sync:false db2 wal);
   let got =
     Db.segments db2 |> Array.to_list |> List.map (fun (s : Segment.t) -> s.Segment.id)

@@ -7,7 +7,7 @@
      compare   — run a query workload across all backends (I/O table)
      batch     — answer a file of queries in parallel across domains
      save      — build an index and snapshot it to disk
-     open      — reopen a snapshot (image restore or rebuild) + optional WAL
+     open      — reopen a snapshot (rebuilding the index) + optional WAL
      recover   — replay a WAL over a snapshot, optionally checkpointing
      scrub     — verify a store/snapshot file: CRCs, chains, index invariants
      repair    — rebuild a damaged snapshot from surviving sections + WAL
@@ -686,25 +686,17 @@ let batch_cmd =
 
 (* ---------------- save / open / recover ---------------- *)
 
-let no_image_t =
-  Arg.(
-    value & flag
-    & info [ "no-image" ]
-        ~doc:
-          "Omit (on $(b,save)) or ignore (on $(b,open)) the marshaled index image; the \
-           snapshot is then opened by rebuilding from the segment section.")
-
 let wal_t =
   Arg.(
     value
     & opt (some string) None
     & info [ "wal" ] ~docv:"LOG" ~doc:"Write-ahead log to attach (created if absent).")
 
-let save file out backend block pool no_image =
+let save file out backend block pool =
   let segs = Seg_file.load file in
   let db = Db.create ~backend ~block ~pool_blocks:pool segs in
   let t0 = Unix.gettimeofday () in
-  Db.save ~image:(not no_image) db out;
+  Db.save db out;
   Printf.printf "wrote %s: %d segments, backend %s, %d bytes (%.3fs)\n" out (Db.size db)
     (Db.backend_name db)
     (Unix.stat out).Unix.st_size
@@ -720,18 +712,17 @@ let snap_out_t =
 let save_cmd =
   Cmd.v
     (Cmd.info "save" ~doc:"build an index over a segment file and snapshot it to disk")
-    Term.(const save $ file_t $ snap_out_t $ backend_t $ block_t $ pool_t $ no_image_t)
+    Term.(const save $ file_t $ snap_out_t $ backend_t $ block_t $ pool_t)
 
 let snap_t =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"SNAP" ~doc:"Snapshot file.")
 
-let open_snapshot_exn snap no_image wal print_ids x ylo yhi =
+let open_snapshot_exn snap wal print_ids x ylo yhi =
   let t0 = Unix.gettimeofday () in
-  let db, mode = Db.open_db_mode ~use_image:(not no_image) snap in
+  let db = Db.open_db snap in
   let dt = Unix.gettimeofday () -. t0 in
-  let mode_name = match mode with Db.Restored_image -> "image" | Db.Rebuilt -> "rebuild" in
   let replayed = match wal with None -> 0 | Some path -> Db.attach_wal db path in
-  Printf.printf "opened %s via %s in %.3fs: backend %s, %d segments%s\n" snap mode_name dt
+  Printf.printf "opened %s in %.3fs: backend %s, %d segments%s\n" snap dt
     (Db.backend_name db) (Db.size db)
     (if wal = None then "" else Printf.sprintf ", %d WAL records replayed" replayed);
   (match x with
@@ -762,8 +753,8 @@ let open_snapshot_exn snap no_image wal print_ids x ylo yhi =
   Db.detach_wal db;
   0
 
-let open_snapshot snap no_image wal print_ids x ylo yhi =
-  try open_snapshot_exn snap no_image wal print_ids x ylo yhi
+let open_snapshot snap wal print_ids x ylo yhi =
+  try open_snapshot_exn snap wal print_ids x ylo yhi
   with Segdb_core.Snapshot.Corrupt_snapshot msg ->
     Printf.eprintf "corrupt snapshot: %s\n" msg;
     1
@@ -781,9 +772,9 @@ let open_cmd =
   Cmd.v
     (Cmd.info "open"
        ~doc:
-         "reopen a snapshot (restoring the saved index image when this binary wrote it, \
-          rebuilding otherwise) and optionally replay a WAL and run a query")
-    Term.(const open_snapshot $ snap_t $ no_image_t $ wal_t $ ids_t $ qx_t $ ylo_t $ yhi_t)
+         "reopen a snapshot (rebuilding the index from its segments section) and \
+          optionally replay a WAL and run a query")
+    Term.(const open_snapshot $ snap_t $ wal_t $ ids_t $ qx_t $ ylo_t $ yhi_t)
 
 let rec recover snap wal checkpoint_out dry_run =
   try if dry_run then recover_dry snap wal else recover_exn snap wal checkpoint_out
@@ -812,11 +803,10 @@ and recover_dry snap wal =
   0
 
 and recover_exn snap wal checkpoint_out =
-  let db, mode = Db.open_db_mode snap in
-  let mode_name = match mode with Db.Restored_image -> "image" | Db.Rebuilt -> "rebuild" in
+  let db = Db.open_db snap in
   let replayed = Db.attach_wal db wal in
-  Printf.printf "recovered %s (%s) + %s: %d segments, %d WAL records replayed\n" snap
-    mode_name wal (Db.size db) replayed;
+  Printf.printf "recovered %s + %s: %d segments, %d WAL records replayed\n" snap wal
+    (Db.size db) replayed;
   (match checkpoint_out with
   | None -> ()
   | Some out ->
@@ -870,16 +860,14 @@ let scrub path wal queries =
       add path (File_store.Scrub.file path)
   | "SEGDBSNP" -> (
       Printf.printf "%s: snapshot\n" path;
-      let fs, contents = Snapshot.salvage ~path in
+      let fs, _ = Snapshot.salvage ~path in
       add path fs;
-      match contents with
-      | None -> ()
-      | Some _ -> (
-          (* the file-level checks passed enough to open; now check the
-             index it holds *)
-          match Db.open_db path with
-          | db -> add path (Db.validate ~queries db)
-          | exception Segdb_core.Snapshot.Corrupt_snapshot m -> add path [ m ]))
+      (* a pristine file opens; now check the index it holds. After any
+         finding, opening would only raise the first one again. *)
+      if fs = [] then
+        match Db.open_db path with
+        | db -> add path (Db.validate ~queries db)
+        | exception Segdb_core.Snapshot.Corrupt_snapshot m -> add path [ m ])
   | other -> add path [ Printf.sprintf "unrecognized magic %S" other ]);
   (match wal with
   | None -> ()
@@ -969,10 +957,9 @@ let repair_cmd =
   Cmd.v
     (Cmd.info "repair"
        ~doc:
-         "rebuild a damaged snapshot from its surviving sections (a corrupt image \
-          section costs only the fast open path; segments are authoritative), replay \
-          an optional WAL over it, validate, and write a fresh snapshot; the inputs \
-          are never modified")
+         "rebuild a damaged snapshot from its segments section (damaged sections with \
+          any other tag are dropped), replay an optional WAL over it, validate, and \
+          write a fresh snapshot; the inputs are never modified")
     Term.(const repair $ scrub_path_t $ wal_t $ repair_out_t)
 
 (* ---------------- verify ---------------- *)

@@ -4,10 +4,9 @@ open Segdb_geom
 type backend = [ `Naive | `Rtree | `Solution1 | `Solution2 | `Solution2_nofc ]
 
 (* The third field is the backend's invariant checker over the packed
-   value — carried inside the pack (rather than rebuilt from the
-   backend tag) so it survives the marshaled-image fast path: closures
-   marshal, and the executable-digest guard already ties images to the
-   writing binary. *)
+   value. [Vs_index.S] has no checker and the existential hides the
+   index type, so the concrete module's [check_invariants] can only be
+   captured in [build_pack], where that type is still known. *)
 type pack =
   | Pack : (module Vs_index.S with type t = 'a) * 'a * (unit -> bool) -> pack
 
@@ -293,12 +292,8 @@ let backend_tag b = List.find (fun (_, b') -> b' = b) all_backends |> fst
 
 (* ---------------- persistence ---------------- *)
 
-let save ?(image = true) t path =
+let save t path =
   Probe.span t.cfg.stats "snapshot.save" @@ fun () ->
-  let image =
-    if not image then None
-    else Some (Marshal.to_string (t.cfg, t.pack) [ Marshal.Closures ])
-  in
   let segments = segments t in
   Snapshot.write ~path
     {
@@ -307,47 +302,19 @@ let save ?(image = true) t path =
       pool_blocks = Block_store.Pool.capacity t.cfg.pool;
       cascade = t.cfg.cascade;
       count = Array.length segments;
-      digest = Snapshot.self_digest ();
     }
-    ~segments ~image
+    ~segments
 
-type open_mode = Restored_image | Rebuilt
-
-let open_db_mode ?(use_image = true) path =
+let open_db path =
   Segdb_obs.Trace.with_span "snapshot.open" @@ fun () ->
   let c = Snapshot.read ~path in
-  let backend =
-    match backend_of_string c.header.backend with
-    | Some b -> b
-    | None ->
-        raise
-          (Snapshot.Corrupt_snapshot
-             (Printf.sprintf "%s: unknown backend %S" path c.header.backend))
-  in
-  let restored =
-    if not use_image then None
-    else
-      match c.image with
-      | Some img
-        when c.header.digest <> "" && c.header.digest = Snapshot.self_digest () -> (
-          (* the image marshals closures, so it is only meaningful for
-             the executable that wrote it — hence the digest guard *)
-          try
-            let cfg, pack = (Marshal.from_string img 0 : Vs_index.config * pack) in
-            Some
-              { cfg; backend; pack; wal = None; generation = Atomic.make 0;
-                commit_hook = None; ids = seed_ids c.segments }
-          with Failure _ -> None)
-      | _ -> None
-  in
-  match restored with
-  | Some t -> (t, Restored_image)
+  match backend_of_string c.header.backend with
+  | Some backend ->
+      create ~backend ~block:c.header.block ~pool_blocks:c.header.pool_blocks c.segments
   | None ->
-      ( create ~backend ~block:c.header.block ~pool_blocks:c.header.pool_blocks
-          c.segments,
-        Rebuilt )
-
-let open_db ?use_image path = fst (open_db_mode ?use_image path)
+      raise
+        (Snapshot.Corrupt_snapshot
+           (Printf.sprintf "%s: unknown backend %S" path c.header.backend))
 
 (* ---------------- WAL lifecycle ---------------- *)
 
@@ -397,8 +364,8 @@ let detach_wal t =
       Wal.close w;
       t.wal <- None
 
-let checkpoint ?image t path =
-  save ?image t path;
+let checkpoint t path =
+  save t path;
   match t.wal with None -> () | Some w -> Wal.reset w
 
 (* ---------------- integrity validation ---------------- *)

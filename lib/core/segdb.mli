@@ -151,11 +151,10 @@ val all_backends : (string * backend) list
 (** {1 Persistence}
 
     A snapshot (see {!Snapshot} for the file format) holds the segment
-    set plus, by default, a marshaled image of the live index. Opening
-    a snapshot written by the same executable restores the image —
-    no rebuild, cold buffer pool, so the first queries measure the
-    paper's cold-open cost; any other reader falls back to rebuilding
-    from the segment section and answers identically.
+    set and the build parameters. The index is a deterministic bulk
+    build over that set, so opening a snapshot rebuilds it — cold
+    buffer pool, so the first queries measure the paper's cold-open
+    cost — and answers exactly as the saved database did.
 
     A write-ahead log makes [insert]/[delete] durable between
     snapshots: each operation is appended (and fsynced, by default) to
@@ -164,19 +163,13 @@ val all_backends : (string * backend) list
     tails are truncated. {!checkpoint} snapshots and then empties the
     log. *)
 
-val save : ?image:bool -> t -> string -> unit
-(** Writes a snapshot atomically (temp file + rename). [image:false]
-    omits the marshaled index — smaller and binary-independent, at the
-    cost of a rebuild on open. *)
+val save : t -> string -> unit
+(** Writes a snapshot atomically and durably (temp file, fsync,
+    rename, directory fsync). *)
 
-val open_db : ?use_image:bool -> string -> t
-(** Reopens a snapshot; [use_image:false] forces the rebuild path.
-    Raises {!Snapshot.Corrupt_snapshot} on a damaged file. *)
-
-type open_mode = Restored_image | Rebuilt
-
-val open_db_mode : ?use_image:bool -> string -> t * open_mode
-(** Like {!open_db}, also reporting which path was taken. *)
+val open_db : string -> t
+(** Reopens a snapshot by rebuilding the index from its segments
+    section. Raises {!Snapshot.Corrupt_snapshot} on a damaged file. *)
 
 val attach_wal : ?sync:bool -> t -> string -> int
 (** Opens (creating if absent) the WAL at the path, truncates a torn
@@ -228,7 +221,7 @@ val set_commit_hook : t -> (op -> unit) option -> unit
 val wal_path : t -> string option
 val detach_wal : t -> unit
 
-val checkpoint : ?image:bool -> t -> string -> unit
+val checkpoint : t -> string -> unit
 (** {!save}, then truncate the attached WAL (if any): the snapshot now
     carries everything the log did. *)
 

@@ -9,19 +9,20 @@
     v}
 
     The header records the backend tag, block size, pool capacity,
-    cascade flag, segment count, and an MD5 digest of the executable
-    that wrote the file. Two sections are defined: the {e segments}
-    section (tag 1, mandatory) holds every stored segment in the binary
-    layout of {!Seg_file.array_codec} — the authoritative, binary-
-    independent contents; the {e image} section (tag 2, optional) holds
-    a marshaled image of the live index, valid only for the executable
-    that wrote it (closures are marshaled), which is what makes
-    reopening without a rebuild possible. [Segdb.open_db] restores the
-    image when the digest matches the running executable and falls back
-    to rebuilding from the segments section otherwise.
+    cascade flag and segment count, followed by a string slot that is
+    written empty and ignored on read (older writers stored an
+    executable digest there). The one section written is the
+    {e segments} section (tag 1, mandatory): every stored segment in the
+    binary layout of {!Seg_file.array_codec}. Because the index is a
+    deterministic bulk build over that set, the section is the whole
+    state, and [Segdb.open_db] rebuilds from it. Other tags are
+    CRC-checked and skipped; files from older writers carry a marshaled
+    index image as tag 2, which is ignored this way.
 
-    Saves are atomic: the file is written beside the target and renamed
-    over it, so a crashed save leaves the previous snapshot intact. *)
+    Saves are atomic and durable: the file is written beside the target,
+    fsynced, renamed over it, and the directory is fsynced, so a crashed
+    save leaves the previous snapshot intact and a returned save
+    survives a crash. *)
 
 exception Corrupt_snapshot of string
 
@@ -31,32 +32,21 @@ type header = {
   pool_blocks : int;
   cascade : bool;
   count : int;  (** segments in the segments section *)
-  digest : string;  (** MD5 hex of the writing executable; guards the image *)
 }
 
-type contents = {
-  header : header;
-  segments : Segdb_geom.Segment.t array;
-  image : string option;
-}
+type contents = { header : header; segments : Segdb_geom.Segment.t array }
 
-val self_digest : unit -> string
-(** MD5 hex of the running executable (memoized). *)
-
-val write :
-  path:string ->
-  header ->
-  segments:Segdb_geom.Segment.t array ->
-  image:string option ->
-  unit
+val write : path:string -> header -> segments:Segdb_geom.Segment.t array -> unit
 
 val read : path:string -> contents
-(** Raises {!Corrupt_snapshot} on damage; every section is CRC-checked
-    before use. *)
+(** Raises {!Corrupt_snapshot} on the first problem {!salvage} would
+    report; every section is CRC-checked before use. [Sys_error]
+    propagates. *)
 
 val salvage : path:string -> string list * contents option
-(** Best-effort read for repair: returns findings (empty means the file
-    is pristine) plus whatever survives. A damaged image section is
-    dropped — costing only the rebuild fast path — and a segment-count
-    mismatch trusts the section; only a destroyed segments section (or
-    header) loses the contents. Never raises on damage. *)
+(** Best-effort read for repair, over the same walk as {!read}: returns
+    findings (empty means the file is pristine) plus whatever survives.
+    A damaged section other than the segments section is dropped at no
+    cost, and a segment-count mismatch trusts the section; only a
+    destroyed segments section (or header) loses the contents. Never
+    raises on damage. *)

@@ -416,8 +416,8 @@ let with_tmp ext f =
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () -> f path)
 
-(* Acceptance: save then open answers identical workloads, per backend,
-   on BOTH open paths — the marshaled-image restore and the rebuild. *)
+(* Acceptance: save then open (a rebuild from the segments section)
+   answers identical workloads, per backend. *)
 let test_snapshot_roundtrip () =
   let segs = pers_workload 42 200 in
   let queries = pers_queries segs in
@@ -427,10 +427,7 @@ let test_snapshot_roundtrip () =
           let db = Db.create ~backend ~block:16 segs in
           let expect = answers db queries in
           Db.save db path;
-          let restored, mode = Db.open_db_mode path in
-          Alcotest.(check bool)
-            (Db.backend_name db ^ ": image restored")
-            true (mode = Db.Restored_image);
+          let restored = Db.open_db path in
           Alcotest.(check bool)
             (Db.backend_name db ^ ": same backend")
             true
@@ -439,24 +436,8 @@ let test_snapshot_roundtrip () =
             (Db.backend_name db ^ ": size")
             (Db.size db) (Db.size restored);
           if answers restored queries <> expect then
-            Alcotest.failf "%s: restored image answers differ" (Db.backend_name db);
-          let rebuilt, mode = Db.open_db_mode ~use_image:false path in
-          Alcotest.(check bool)
-            (Db.backend_name db ^ ": rebuild forced")
-            true (mode = Db.Rebuilt);
-          if answers rebuilt queries <> expect then
-            Alcotest.failf "%s: rebuilt answers differ" (Db.backend_name db)))
+            Alcotest.failf "%s: reopened answers differ" (Db.backend_name db)))
     all_backend_tags
-
-let test_snapshot_no_image () =
-  let segs = pers_workload 7 120 in
-  with_tmp ".snap" (fun path ->
-      let db = Db.create ~backend:`Solution2 segs in
-      Db.save ~image:false db path;
-      let restored, mode = Db.open_db_mode path in
-      Alcotest.(check bool) "no image -> rebuilt" true (mode = Db.Rebuilt);
-      let queries = pers_queries segs in
-      Alcotest.(check bool) "answers equal" true (answers restored queries = answers db queries))
 
 let test_snapshot_corrupt () =
   with_tmp ".snap" (fun path ->
@@ -614,7 +595,6 @@ let suite =
     cases
     @ [
         Alcotest.test_case "snapshot roundtrip, all backends" `Quick test_snapshot_roundtrip;
-        Alcotest.test_case "snapshot without image rebuilds" `Quick test_snapshot_no_image;
         Alcotest.test_case "snapshot rejects bit flips" `Quick test_snapshot_corrupt;
         Alcotest.test_case "wal crash recovery, all backends" `Quick test_wal_recovery;
         Alcotest.test_case "wal truncation sweep (segdb)" `Quick test_wal_truncation_sweep;
@@ -756,6 +736,30 @@ let test_raw_query_raises () =
       | _ -> Alcotest.fail "raw query must raise under fault"
       | exception Unix.Unix_error (Unix.EIO, _, _) -> ())
 
+(* A save fsyncs the temp file, renames it, then fsyncs the directory —
+   two hits on the [fsync] site. A crash at the first leaves the old
+   snapshot in place; a crash at the second finds the new one already
+   renamed, and a checkpoint would not yet have emptied the log. *)
+let test_save_fsyncs_directory () =
+  let segs = pers_workload 79 40 in
+  with_tmp ".snap" (fun path ->
+      Db.save (Db.create ~backend:`Naive (Array.sub segs 0 30)) path;
+      let fresh = Db.create ~backend:`Naive segs in
+      let save_crashing_at at =
+        with_disarm (fun () ->
+            Segdb_io.Failpoint.arm
+              [ ("fsync", Segdb_io.Failpoint.plan ~at Segdb_io.Failpoint.Crash) ];
+            match Db.save fresh path with
+            | () -> Alcotest.failf "fsync hit %d never fired" at
+            | exception Segdb_io.Failpoint.Injected_crash _ -> ())
+      in
+      save_crashing_at 1;
+      Alcotest.(check int) "cut before the rename keeps the old snapshot" 30
+        (Db.size (Db.open_db path));
+      save_crashing_at 2;
+      Alcotest.(check int) "directory fsync follows the rename" 40
+        (Db.size (Db.open_db path)))
+
 (* The scrub-side invariant battery on healthy databases: every backend,
    including the random-query cross-check against a fresh naive build. *)
 let test_validate_clean () =
@@ -854,12 +858,12 @@ let test_cli_scrub_repair () =
               (* clean scrub exits 0 *)
               let rc = Sys.command (Filename.quote_command exe [ "scrub"; snap ] ^ " > /dev/null") in
               Alcotest.(check int) "clean scrub exit code" 0 rc;
-              (* damage the image section's CRC region: past the header *)
-              let fd = Unix.openfile snap [ Unix.O_RDWR ] 0 in
-              let size = (Unix.fstat fd).Unix.st_size in
-              ignore (Unix.lseek fd (size - 8) Unix.SEEK_SET);
-              ignore (Unix.write fd (Bytes.make 1 '\xff') 0 1);
-              Unix.close fd;
+              (* append a tag-2 section whose CRC does not match its
+                 payload, as a damaged image from an older writer looks:
+                 the segments section survives and repair can rebuild *)
+              let oc = open_out_gen [ Open_append; Open_binary ] 0 snap in
+              output_string oc "\x02\x04\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00abcd";
+              close_out oc;
               let rc = Sys.command (Filename.quote_command exe [ "scrub"; snap ] ^ " > /dev/null") in
               Alcotest.(check bool) "damaged scrub exits non-zero" true (rc <> 0);
               let rc =
@@ -872,6 +876,58 @@ let test_cli_scrub_repair () =
               let db2 = Db.open_db out in
               Alcotest.(check int) "repaired contents" (Array.length segs) (Db.size db2)))
 
+(* Snapshots already on disk from older writers carry an executable
+   digest in the header's string slot and a marshaled index image as an
+   intact tag-2 section. Both are ignored: such a file opens by rebuild,
+   answers as the database that wrote it did, and scrubs clean. *)
+let test_legacy_image_snapshot () =
+  match cli_exe with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+      let module W = Segdb_io.Codec.W in
+      let segs = pers_workload 29 120 in
+      with_tmp ".snap" (fun snap ->
+          let db = Db.create ~backend:`Solution2 ~block:16 segs in
+          Db.save db snap;
+          let data =
+            let ic = open_in_bin snap in
+            Fun.protect
+              ~finally:(fun () -> close_in ic)
+              (fun () -> really_input_string ic (in_channel_length ic))
+          in
+          (* magic (8) | version (4) | header_len (4) | header | crc (4) | sections *)
+          let hlen = Int32.to_int (String.get_int32_le data 12) in
+          let hp = String.sub data 16 hlen in
+          Alcotest.(check string) "empty digest slot" "\000\000\000\000"
+            (String.sub hp (hlen - 4) 4);
+          let legacy_hp =
+            let b = Buffer.create (hlen + 32) in
+            Buffer.add_string b (String.sub hp 0 (hlen - 4));
+            (* an MD5 hex digest, as older writers stored *)
+            W.str b "9e107d9d372bb6826bd81d3542a419d6";
+            Buffer.contents b
+          in
+          let image = String.make 4096 '\x84' in
+          let b = Buffer.create (String.length data + String.length image + 64) in
+          Buffer.add_string b (String.sub data 0 12);
+          W.u32 b (String.length legacy_hp);
+          Buffer.add_string b legacy_hp;
+          W.u32 b (Segdb_io.Crc.string legacy_hp);
+          Buffer.add_string b (String.sub data (20 + hlen) (String.length data - 20 - hlen));
+          W.u8 b 2;
+          W.u64 b (String.length image);
+          W.u32 b (Segdb_io.Crc.string image);
+          Buffer.add_string b image;
+          let oc = open_out_bin snap in
+          Buffer.output_buffer oc b;
+          close_out oc;
+          let reopened = Db.open_db snap in
+          let queries = pers_queries segs in
+          Alcotest.(check bool) "answers equal the writer's" true
+            (answers reopened queries = answers db queries);
+          let rc = Sys.command (Filename.quote_command exe [ "scrub"; snap ] ^ " > /dev/null") in
+          Alcotest.(check int) "legacy snapshot scrubs clean" 0 rc)
+
 let suite =
   let name, cases = suite in
   ( name,
@@ -881,8 +937,12 @@ let suite =
         Alcotest.test_case "scan_wal sees the op sequence" `Quick test_scan_wal;
         Alcotest.test_case "query_safe degrades and heals" `Quick test_query_safe_degraded;
         Alcotest.test_case "raw query raises under fault" `Quick test_raw_query_raises;
+        Alcotest.test_case "snapshot save fsyncs its directory" `Quick
+          test_save_fsyncs_directory;
         Alcotest.test_case "validate clean on every backend" `Quick test_validate_clean;
         Alcotest.test_case "snapshot salvage" `Quick test_snapshot_salvage;
         Alcotest.test_case "repair pipeline roundtrip" `Quick test_repair_roundtrip;
         Alcotest.test_case "cli scrub + repair" `Quick test_cli_scrub_repair;
+        Alcotest.test_case "legacy snapshot with an image section opens" `Quick
+          test_legacy_image_snapshot;
       ] )
