@@ -637,6 +637,7 @@ let run_crash_store_round ~seed ~ops ~site round =
 
 module Net_server = Segdb_net.Server
 module Net_client = Segdb_net.Client
+module Trace = Segdb_obs.Trace
 
 let net_actions = [| Failpoint.Eio; Failpoint.Short; Failpoint.Bit_flip; Failpoint.Torn |]
 
@@ -695,11 +696,16 @@ let run_net_round ~seed ~ops ~size round =
               (List.length expected)
               (Format.asprintf "%a" Vquery.pp q)
       | 1 ->
+          (* a one-query batch carrying a client request id and the
+             trace flag: the observability frame, checked like any
+             other answer *)
           let q = random_query () in
-          let got = Net_client.count c q and expected = Db.count db q in
-          if got <> expected then
-            fail "remote count %d vs %d on %s" got expected
-              (Format.asprintf "%a" Vquery.pp q)
+          let expected = List.sort compare (Db.query_ids db q) in
+          let got =
+            Net_client.batch ~request_id:(Trace.fresh_request_id ()) ~trace:true c [| q |]
+          in
+          if got.Db.Degraded.value <> [| expected |] then
+            fail "remote traced batch diverged on %s" (Format.asprintf "%a" Vquery.pp q)
       | _ ->
           let qs = Array.init (1 + Rng.int rng 8) (fun _ -> random_query ()) in
           let expected = Array.map (fun q -> List.sort compare (Db.query_ids db q)) qs in

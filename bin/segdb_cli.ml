@@ -392,7 +392,7 @@ let query_remote_traced addr c q verbose trace_json =
   let r =
     Obs.Trace.with_request_id rid (fun () ->
         Obs.Trace.with_span "client.request" (fun () ->
-            Client.batch_ex c ~request_id:rid ~trace:true [| q |]))
+            Client.batch ~request_id:rid ~trace:true c [| q |]))
   in
   let ids = r.Db.Degraded.value.(0) in
   Printf.printf "%s -> %d segments%s (via %s, request %x)\n"
@@ -1361,40 +1361,37 @@ let delta prev cur name =
   | Some _, Some _ -> Some 0.0
   | _, _ -> None
 
-let bucket_series sc name =
-  List.filter_map (fun (b, le, c) -> if b = name then Some (le, c) else None) sc.buckets
-
-(* cumulative count at [le]: the value of the largest emitted bound at
-   or below it (cumulative series are monotone in le) *)
-let cum_at series le =
-  List.fold_left (fun acc (l, c) -> if l <= le then Float.max acc c else acc) 0.0 series
-
-(* percentile of the traffic that landed between the two scrapes, by
-   diffing the cumulative bucket series and interpolating inside the
-   landing bucket *)
-let window_percentile prev cur name p =
-  let cs = bucket_series cur name in
-  if cs = [] then None
+(* per-bucket counts of one scraped histogram: each finite [le] is the
+   upper bound of the Histogram bucket it closes, so [bucket_of] maps
+   it back, and successive cumulative rows differ by that bucket's
+   count *)
+let bucket_counts sc name =
+  let rows =
+    List.filter_map
+      (fun (b, le, c) ->
+        if b = name && Float.is_finite le then Some (int_of_float le, int_of_float c) else None)
+      sc.buckets
+  in
+  if rows = [] then None
   else begin
-    let ps = bucket_series prev name in
-    let adj = List.map (fun (le, c) -> (le, Float.max 0.0 (c -. cum_at ps le))) cs in
-    let total = List.fold_left (fun acc (_, c) -> Float.max acc c) 0.0 adj in
-    if total <= 0.0 then None
-    else begin
-      let rank = p *. total in
-      let rec walk lo lo_cum = function
-        | [] -> Some lo
-        | (le, c) :: rest ->
-            if c >= rank then
-              if Float.is_finite le then
-                let frac = if c > lo_cum then (rank -. lo_cum) /. (c -. lo_cum) else 1.0 in
-                Some (lo +. (frac *. (le -. lo)))
-              else Some lo
-            else walk le c rest
-      in
-      walk 0.0 0.0 adj
-    end
+    let counts = Array.make 64 0 and below = ref 0 in
+    List.iter
+      (fun (le, c) ->
+        counts.(Obs.Histogram.bucket_of le) <- max 0 (c - !below);
+        below := c)
+      (List.sort compare rows);
+    Some counts
   end
+
+(* percentile of the traffic that landed between the two scrapes *)
+let window_percentile prev cur name p =
+  Option.bind (bucket_counts cur name) (fun cs ->
+      let window =
+        match bucket_counts prev name with
+        | Some ps -> Obs.Sampler.diff_buckets cs ps
+        | None -> cs
+      in
+      Obs.Sampler.percentile_of_buckets window p)
 
 let max_with_prefix sc prefix =
   List.fold_left

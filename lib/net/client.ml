@@ -219,7 +219,6 @@ let unexpected what resp =
     | Wire.Error (code, msg) -> Wire.error_code_to_string code ^ ": " ^ msg
     | Wire.Pong -> "pong"
     | Wire.Ids _ -> "ids"
-    | Wire.Counted _ -> "count"
     | Wire.Batch_ids _ -> "batch ids"
     | Wire.Stats_payload _ -> "stats"
     | Wire.Shutdown_ack -> "shutdown ack"
@@ -241,17 +240,8 @@ let query t q =
       { Db.Degraded.value = ids; complete; faults }
   | r -> unexpected "ids" r
 
-let count t q =
-  match rpc t (Wire.Count q) with Wire.Counted n -> n | r -> unexpected "count" r
-
-let batch t qs =
-  match rpc t (Wire.Batch qs) with
-  | Wire.Batch_ids { results; complete; faults } ->
-      { Db.Degraded.value = results; complete; faults }
-  | r -> unexpected "batch ids" r
-
-let batch_ex t ?(request_id = 0) ?(trace = false) qs =
-  match rpc t (Wire.Batch_ex { request_id; trace; queries = qs }) with
+let batch ?(request_id = 0) ?(trace = false) t qs =
+  match rpc t (Wire.Batch { request_id; trace; queries = qs }) with
   | Wire.Batch_ids { results; complete; faults } ->
       { Db.Degraded.value = results; complete; faults }
   | r -> unexpected "batch ids" r

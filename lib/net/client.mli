@@ -81,20 +81,15 @@ val ping : t -> unit
 val query : t -> Vquery.t -> int list Db.Degraded.t
 (** Sorted ids; completeness/faults as reported by the server. *)
 
-val count : t -> Vquery.t -> int
-
-val batch : t -> Vquery.t array -> int list array Db.Degraded.t
+val batch :
+  ?request_id:int -> ?trace:bool -> t -> Vquery.t array -> int list array Db.Degraded.t
 (** Element [i] is exactly what in-process [Segdb.query_ids] on query
-    [i] would return. *)
-
-val batch_ex :
-  t -> ?request_id:int -> ?trace:bool -> Vquery.t array -> int list array Db.Degraded.t
-(** {!batch} with observability: [request_id] (a value from
-    [Segdb_obs.Trace.fresh_request_id]) is attached to every span the
-    server records while serving the batch, and [trace] asks it to
+    [i] would return. [request_id] (a value from
+    [Segdb_obs.Trace.fresh_request_id]; default 0, which lets the
+    server draw one) is attached to every span the server records
+    while serving the batch, and [trace] (default false) asks it to
     bracket execution in an ["exec.batch"] span. Follow with
-    {!fetch_trace} to pull those spans back. An old server answers the
-    new tag with [Bad_request] (raised as {!Error}). *)
+    {!fetch_trace} to pull those spans back. *)
 
 val fetch_trace : t -> request_id:int -> Segdb_obs.Trace.event list
 (** The server's retained trace events for one request, in recording

@@ -327,13 +327,9 @@ let serve_metrics t addr =
 let response_of_outcome t ~kind (o : Exec.outcome) =
   match (o, kind) with
   | Exec.Ok out, `Query -> Wire.Ids { ids = out.(0); complete = true; faults = [] }
-  | Exec.Ok out, `Count -> Wire.Counted (List.length out.(0))
   | Exec.Ok out, `Batch -> Wire.Batch_ids { results = out; complete = true; faults = [] }
   | Exec.Degraded (out, faults), `Query ->
       Wire.Ids { ids = out.(0); complete = false; faults }
-  | Exec.Degraded (_, faults), `Count ->
-      (* a count has no partial-answer channel: surface the fault *)
-      Wire.Error (Wire.Server_error, String.concat "; " faults)
   | Exec.Degraded (out, faults), `Batch ->
       Wire.Batch_ids { results = out; complete = false; faults }
   | Exec.Deadline_exceeded { completed = 0; _ }, _ ->
@@ -350,7 +346,7 @@ let response_of_outcome t ~kind (o : Exec.outcome) =
                 (Array.length partial);
             ];
         }
-  | Exec.Deadline_exceeded _, (`Query | `Count) ->
+  | Exec.Deadline_exceeded _, `Query ->
       (* unreachable: a single-query request either completes its one
          query (first-query immunity) or expires with completed = 0 *)
       Wire.Error (Wire.Deadline, "deadline exceeded")
@@ -372,9 +368,7 @@ let submit_query t conn req =
   let qs, kind, rid, trace =
     match req with
     | Wire.Query q -> ([| q |], `Query, 0, false)
-    | Wire.Count q -> ([| q |], `Count, 0, false)
-    | Wire.Batch qs -> (qs, `Batch, 0, false)
-    | Wire.Batch_ex { request_id; trace; queries } -> (queries, `Batch, request_id, trace)
+    | Wire.Batch { request_id; trace; queries } -> (queries, `Batch, request_id, trace)
     | _ -> assert false
   in
   let ereq =
@@ -568,7 +562,7 @@ let dispatch t conn req =
   | Wire.Repl_ack { epoch; lsn } -> handle_ack t conn ~epoch ~lsn
   | Wire.Repl_status -> respond t conn (Wire.Repl_status_payload (repl_status_enriched t))
   | Wire.Promote { epoch } -> handle_promote t conn ~epoch
-  | Wire.Query _ | Wire.Count _ | Wire.Batch _ | Wire.Batch_ex _ ->
+  | Wire.Query _ | Wire.Batch _ ->
       if Atomic.get t.stopping then respond t conn (Wire.Error (Wire.Shutting_down, "draining"))
       else submit_query t conn req
 

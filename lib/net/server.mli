@@ -20,7 +20,7 @@
     expires mid-batch returns the partial answers it earned (an
     admitted request always completes at least its first query). A
     [Shutdown] frame (or {!stop}, which is what the SIGTERM handler of
-    [segdb_server] calls) drains gracefully: accepting stops, admitted
+    [segdb_cli serve] calls) drains gracefully: accepting stops, admitted
     requests are answered, the pool is shut down, then every connection
     is closed and {!run} returns.
 
@@ -143,4 +143,4 @@ val open_or_build : ?backend:Db.backend -> ?block:int -> string -> Db.t
 (** Load a database for serving: a file with the snapshot magic is
     reopened via [Db.open_db], anything else is parsed as a text
     segment file and indexed with [backend]/[block] (defaults:
-    [`Solution2], 64). Shared by [segdb_server] and [segdb_cli serve]. *)
+    [`Solution2], 64). What [segdb_cli serve] opens. *)

@@ -8,11 +8,9 @@ module Seg_file = Segdb_core.Seg_file
 type request =
   | Ping
   | Query of Vquery.t
-  | Count of Vquery.t
-  | Batch of Vquery.t array
   | Stats of [ `Text | `Json | `Prometheus ]
   | Shutdown
-  | Batch_ex of { request_id : int; trace : bool; queries : Vquery.t array }
+  | Batch of { request_id : int; trace : bool; queries : Vquery.t array }
   | Trace_fetch of { request_id : int }
   | Slowlog of [ `Text | `Json ]
   | Insert of Segment.t
@@ -45,7 +43,6 @@ type repl_status = {
 type response =
   | Pong
   | Ids of { ids : int list; complete : bool; faults : string list }
-  | Counted of int
   | Batch_ids of { results : int list array; complete : bool; faults : string list }
   | Stats_payload of string
   | Error of error_code * string
@@ -210,7 +207,8 @@ let code_of_tag = function
 
 (* Request tags live below 128, response tags at or above — a stray
    response parsed as a request (or vice versa) is an Unknown_tag, not
-   a confusion. *)
+   a confusion. Retired tags (requests 3 and 4, response 130) stay
+   unassigned so an old peer's frame decodes as Unknown_tag. *)
 
 let request_payload req =
   let b = Buffer.create 64 in
@@ -219,17 +217,11 @@ let request_payload req =
   | Query q ->
       Codec.W.u8 b 2;
       write_vquery b q
-  | Count q ->
-      Codec.W.u8 b 3;
-      write_vquery b q
-  | Batch qs ->
-      Codec.W.u8 b 4;
-      vqueries_codec.Codec.write b qs
   | Stats fmt ->
       Codec.W.u8 b 5;
       Codec.W.u8 b (fmt_to_tag fmt)
   | Shutdown -> Codec.W.u8 b 6
-  | Batch_ex { request_id; trace; queries } ->
+  | Batch { request_id; trace; queries } ->
       Codec.W.u8 b 7;
       Codec.W.u64 b request_id;
       Codec.bool.Codec.write b trace;
@@ -269,9 +261,6 @@ let response_payload resp =
       Codec.bool.Codec.write b complete;
       faults_codec.Codec.write b faults;
       ids_codec.Codec.write b ids
-  | Counted n ->
-      Codec.W.u8 b 130;
-      Codec.W.u64 b n
   | Batch_ids { results; complete; faults } ->
       Codec.W.u8 b 131;
       Codec.bool.Codec.write b complete;
@@ -337,15 +326,13 @@ let decode_request payload =
       match tag with
       | 1 -> Some Ping
       | 2 -> Some (Query (read_vquery r))
-      | 3 -> Some (Count (read_vquery r))
-      | 4 -> Some (Batch (vqueries_codec.Codec.read r))
       | 5 -> Some (Stats (fmt_of_tag (Codec.R.u8 r)))
       | 6 -> Some Shutdown
       | 7 ->
           let request_id = Codec.R.u64 r in
           let trace = Codec.bool.Codec.read r in
           let queries = vqueries_codec.Codec.read r in
-          Some (Batch_ex { request_id; trace; queries })
+          Some (Batch { request_id; trace; queries })
       | 8 -> Some (Trace_fetch { request_id = Codec.R.u64 r })
       | 9 -> Some (Slowlog (dump_fmt_of_tag (Codec.R.u8 r)))
       | 10 -> Some (Insert (Seg_file.codec.Codec.read r))
@@ -371,7 +358,6 @@ let decode_response payload =
           let faults = faults_codec.Codec.read r in
           let ids = ids_codec.Codec.read r in
           Some (Ids { ids; complete; faults })
-      | 130 -> Some (Counted (Codec.R.u64 r))
       | 131 ->
           let complete = Codec.bool.Codec.read r in
           let faults = faults_codec.Codec.read r in

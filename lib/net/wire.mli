@@ -24,23 +24,25 @@ open Segdb_geom
 (** What a client can ask. Queries are read-only and therefore safe to
     retry; [Shutdown] requests a graceful drain.
 
-    Tags added after the first release ([Batch_ex], [Trace_fetch],
-    [Slowlog]) rely on the unknown-tag rule for compatibility: an old
-    server answers them [Error (Bad_request, _)] and keeps the stream
-    up, so a new client talking to an old peer degrades instead of
-    wedging. *)
+    Compatibility rests on the unknown-tag rule: a frame whose tag the
+    peer does not know decodes as {!Unknown_tag}, is answered
+    [Error (Bad_request, _)], and the stream stays up — so a new client
+    talking to an old peer (sending, say, [Trace_fetch] or [Slowlog])
+    degrades instead of wedging, and so does an old client sending a
+    retired frame to a new server: the single-query count (tag 3) and
+    its answer (tag 130), and the untraced batch (tag 4). Retired tags
+    are never reused. *)
 type request =
   | Ping
   | Query of Vquery.t
-  | Count of Vquery.t
-  | Batch of Vquery.t array
   | Stats of [ `Text | `Json | `Prometheus ]
   | Shutdown
-  | Batch_ex of { request_id : int; trace : bool; queries : Vquery.t array }
-      (** [Batch] plus observability: the client-generated request id
-          is carried into every span the server records while serving
-          it, and [trace] asks the server to bracket execution in an
-          ["exec.batch"] span. Answered with {!Batch_ids}. *)
+  | Batch of { request_id : int; trace : bool; queries : Vquery.t array }
+      (** A batch of queries, answered with {!Batch_ids}. A non-zero
+          [request_id] is carried into every span the server records
+          while serving it (0 asks the server to draw a fresh one), and
+          [trace] asks the server to bracket execution in an
+          ["exec.batch"] span. *)
   | Trace_fetch of { request_id : int }
       (** Return the server's retained trace events for one request
           (as {!Trace_events}) — how a client reassembles the full
@@ -132,7 +134,6 @@ type response =
   | Pong
   | Ids of { ids : int list; complete : bool; faults : string list }
       (** sorted ids; [complete]/[faults] mirror {!Segdb_core.Segdb.Degraded} *)
-  | Counted of int
   | Batch_ids of { results : int list array; complete : bool; faults : string list }
       (** element [i] is exactly [Segdb.query_ids db qs.(i)], sorted *)
   | Stats_payload of string

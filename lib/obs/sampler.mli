@@ -86,6 +86,19 @@ val rates : unit -> (string * float) list
 (** Latest per-second rate for every counter, from the last two ticks;
     empty before two samples exist. *)
 
+val percentile_of_buckets : int array -> float -> float option
+(** [percentile_of_buckets b p]: the [p]-quantile ([p] in [[0, 1]]) of
+    a per-bucket count array laid out as {!Histogram.buckets}, by
+    walking to the landing bucket and interpolating linearly inside its
+    {!Histogram.bucket_bounds} (bucket 0 counts from 0). [None] when
+    every count is 0. *)
+
+val diff_buckets : int array -> int array -> int array
+(** [diff_buckets newer older]: the per-bucket counts recorded between
+    two snapshots of one histogram, clamped at 0 (a registry reset
+    reads as an empty window, not negative counts). Missing trailing
+    entries of [older] count as 0. *)
+
 val window_p99 : string -> float option
 (** The p99 of a watched histogram over the retained window (newest
     ring entry minus oldest), interpolated within the landing bucket.

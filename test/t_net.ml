@@ -24,7 +24,6 @@ let contains haystack needle =
 let resp_name = function
   | Wire.Pong -> "pong"
   | Wire.Ids _ -> "ids"
-  | Wire.Counted _ -> "counted"
   | Wire.Batch_ids _ -> "batch_ids"
   | Wire.Stats_payload _ -> "stats_payload"
   | Wire.Error (c, m) -> Printf.sprintf "error %s: %s" (Wire.error_code_to_string c) m
@@ -70,13 +69,11 @@ let gen_request =
       [
         return Wire.Ping;
         map (fun q -> Wire.Query q) gen_vquery;
-        map (fun q -> Wire.Count q) gen_vquery;
-        map (fun qs -> Wire.Batch (Array.of_list qs)) (list_size (int_bound 8) gen_vquery);
         map (fun f -> Wire.Stats f) (oneofl [ `Text; `Json; `Prometheus ]);
         return Wire.Shutdown;
         map3
           (fun request_id trace qs ->
-            Wire.Batch_ex { request_id; trace; queries = Array.of_list qs })
+            Wire.Batch { request_id; trace; queries = Array.of_list qs })
           (int_bound 1_000_000_000) bool
           (list_size (int_bound 8) gen_vquery);
         map (fun request_id -> Wire.Trace_fetch { request_id }) (int_bound 1_000_000_000);
@@ -105,7 +102,6 @@ let gen_response =
           (fun ids complete faults -> Wire.Ids { ids; complete; faults })
           gen_ids bool
           (list_size (int_bound 3) gen_text);
-        map (fun n -> Wire.Counted n) (int_bound 1_000_000_000);
         map3
           (fun rs complete faults ->
             Wire.Batch_ids { results = Array.of_list rs; complete; faults })
@@ -245,6 +241,17 @@ let test_negative_frames () =
   (match Wire.decode_response "\x07" with
   | Result.Error (Wire.Unknown_tag 7) -> ()
   | _ -> Alcotest.fail "request tag accepted as a response");
+  (* retired tags stay unassigned: the single-query count (3), the
+     untraced batch (4) and the count answer (130) *)
+  List.iter
+    (fun tag ->
+      match Wire.decode_request (String.make 1 (Char.chr tag) ^ String.make 24 '\000') with
+      | Result.Error (Wire.Unknown_tag t) when t = tag -> ()
+      | _ -> Alcotest.failf "retired request tag %d accepted" tag)
+    [ 3; 4 ];
+  (match Wire.decode_response "\x82\x05\x00\x00\x00\x00\x00\x00\x00" with
+  | Result.Error (Wire.Unknown_tag 130) -> ()
+  | _ -> Alcotest.fail "retired response tag 130 accepted");
   (* empty payload, truncated body, trailing garbage: Malformed *)
   (match Wire.decode_request "" with
   | Result.Error (Wire.Malformed _) -> ()
@@ -272,7 +279,14 @@ let with_socketpair f =
 
 let test_send_recv_roundtrip () =
   with_socketpair (fun a b ->
-      let req = Wire.Batch [| Vquery.line ~x:3.0; Vquery.ray_up ~x:1.0 ~ylo:0.0 |] in
+      let req =
+        Wire.Batch
+          {
+            request_id = 7;
+            trace = true;
+            queries = [| Vquery.line ~x:3.0; Vquery.ray_up ~x:1.0 ~ylo:0.0 |];
+          }
+      in
       Wire.send b (Wire.encode_request req);
       match Wire.recv a with
       | Result.Ok payload ->
@@ -393,7 +407,7 @@ let test_loopback_parity () =
               Alcotest.(check (list int)) "query ids"
                 (List.sort_uniq compare (Db.query_ids db q))
                 one.Db.Degraded.value;
-              Alcotest.(check int) "count" (Db.count db q) (Client.count c q))
+              Alcotest.(check int) "count" (Db.count db q) (List.length one.Db.Degraded.value))
             (Array.sub qs 0 8)))
 
 let test_stats_over_wire () =
@@ -498,6 +512,15 @@ let test_overload_backpressure () =
               Alcotest.(check bool) "names the overload" true (contains m "overload")
           | _ -> Alcotest.fail "zero-depth queue accepted work"))
 
+(* the next response on a raw socket *)
+let read_resp fd =
+  match Wire.recv ~timeout:60.0 fd with
+  | Result.Ok payload -> (
+      match Wire.decode_response payload with
+      | Result.Ok r -> r
+      | Result.Error e -> Alcotest.failf "decode: %s" (Wire.protocol_error_to_string e))
+  | Result.Error e -> Alcotest.failf "recv: %s" (Wire.protocol_error_to_string e)
+
 let test_deadline () =
   let db = build_db ~backend:`Naive ~n:100_000 () in
   with_server ~domains:1 ~deadline_ms:1 db (fun addr ->
@@ -512,26 +535,51 @@ let test_deadline () =
              several ms — so the query behind it sits queued past its
              own 1ms budget and is refused without being executed *)
           let slow =
-            Wire.Batch (Array.init 20 (fun i -> Vquery.line ~x:(float_of_int i /. 3.0)))
+            Wire.Batch
+              {
+                request_id = 0;
+                trace = false;
+                queries = Array.init 20 (fun i -> Vquery.line ~x:(float_of_int i /. 3.0));
+              }
           in
           Wire.send fd (Wire.encode_request slow);
           Wire.send fd (Wire.encode_request (Wire.Query (Vquery.line ~x:1.0)));
-          let read_resp () =
-            match Wire.recv ~timeout:60.0 fd with
-            | Result.Ok payload -> (
-                match Wire.decode_response payload with
-                | Result.Ok r -> r
-                | Result.Error e ->
-                    Alcotest.failf "decode: %s" (Wire.protocol_error_to_string e))
-            | Result.Error e ->
-                Alcotest.failf "recv: %s" (Wire.protocol_error_to_string e)
-          in
-          (match read_resp () with
+          (match read_resp fd with
           | Wire.Batch_ids _ -> ()
           | r -> Alcotest.failf "expected the batch first, got %s" (resp_name r));
-          match read_resp () with
+          match read_resp fd with
           | Wire.Error (Wire.Deadline, _) -> ()
           | r -> Alcotest.failf "expected a deadline error, got %s" (resp_name r)))
+
+(* A retired request tag reaching a live server is answered
+   [Bad_request] and the stream stays up: the next frame on the same
+   socket is served normally. *)
+let test_retired_tag_live () =
+  let db = build_db ~n:100 () in
+  with_server ~domains:1 db (fun addr ->
+      let sa = Server.sockaddr_of addr in
+      let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd sa;
+          (* tag 3 with the old count body: one query, three f64s *)
+          let payload = "\x03" ^ String.make 24 '\000' in
+          let header = Buffer.create Wire.header_bytes in
+          Codec.W.u32 header (String.length payload);
+          Codec.W.u32 header (Segdb_io.Crc.string payload);
+          Wire.send fd (Buffer.contents header ^ payload);
+          (match read_resp fd with
+          | Wire.Error (Wire.Bad_request, _) -> ()
+          | r -> Alcotest.failf "expected bad request, got %s" (resp_name r));
+          let q = Vquery.line ~x:50.0 in
+          Wire.send fd (Wire.encode_request (Wire.Query q));
+          match read_resp fd with
+          | Wire.Ids { ids; complete = true; _ } ->
+              Alcotest.(check (list int)) "served after the bad frame"
+                (List.sort_uniq compare (Db.query_ids db q))
+                ids
+          | r -> Alcotest.failf "expected ids, got %s" (resp_name r)))
 
 (* ---------------- the CLI reads queries from stdin ---------------- *)
 
@@ -575,6 +623,51 @@ let test_cli_batch_stdin () =
               lines
           in
           Alcotest.(check int) "two answered queries" 2 (List.length hits))
+
+(* [segdb_cli top] over the wire stats frame: two scrapes 200ms apart
+   with queries landing in between, so the windowed latency rows have
+   traffic to report. *)
+let test_cli_top () =
+  match cli_exe with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+      with_obs @@ fun () ->
+      let db = build_db ~n:100 () in
+      with_server ~domains:1 db (fun addr ->
+          let stop = Atomic.make false in
+          let load =
+            Domain.spawn (fun () ->
+                let c = Client.connect addr in
+                Fun.protect
+                  ~finally:(fun () -> Client.close c)
+                  (fun () ->
+                    while not (Atomic.get stop) do
+                      ignore (Client.query c (Vquery.line ~x:50.0))
+                    done))
+          in
+          let lines =
+            Fun.protect
+              ~finally:(fun () ->
+                Atomic.set stop true;
+                Domain.join load)
+              (fun () ->
+                run_lines
+                  (Printf.sprintf "%s top --connect %s --iterations 1 --no-clear --interval-ms 200"
+                     (Filename.quote exe)
+                     (Filename.quote (Server.addr_to_string addr))))
+          in
+          (* the row reads "p99 us  <now>  <trend>", space-aligned *)
+          let words l = List.filter (( <> ) "") (String.split_on_char ' ' l) in
+          match List.find_opt (fun l -> contains l "p99 us") lines with
+          | None -> Alcotest.failf "no p99 row in:\n%s" (String.concat "\n" lines)
+          | Some row -> (
+              match words row with
+              | "p99" :: "us" :: now :: _ ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "p99 %S is numeric" now)
+                    true
+                    (Option.is_some (float_of_string_opt now))
+              | _ -> Alcotest.failf "unparsed p99 row %S" row))
 
 (* ---------------- HTTP monitoring endpoints ---------------- *)
 
@@ -707,6 +800,9 @@ let suite =
         test_overload_backpressure;
       Alcotest.test_case "queued past the deadline" `Quick test_deadline;
       Alcotest.test_case "cli batch reads queries from stdin" `Quick test_cli_batch_stdin;
+      Alcotest.test_case "retired tag answered bad request on a live server" `Quick
+        test_retired_tag_live;
+      Alcotest.test_case "cli top renders windowed latency" `Quick test_cli_top;
       Alcotest.test_case "http: /metrics scrape + /healthz" `Quick test_http_metrics_scrape;
       Alcotest.test_case "http: stalled replica healthz 503" `Quick test_http_healthz_stall;
       Alcotest.test_case "http: malformed request answers 400" `Quick
