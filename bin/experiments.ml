@@ -11,8 +11,8 @@ let list_experiments () =
     (fun (e : Registry.experiment) ->
       Printf.printf "%-4s %s\n     validates: %s\n" e.id e.title e.validates)
     Registry.all;
-  Printf.printf "%-4s %s\n     validates: %s\n" "e11" "E11: wall-clock timing (Bechamel)"
-    "sanity: simulated-I/O ordering carries to wall-clock (run: bench/main.exe)"
+  Printf.printf "%-4s %s\n     validates: %s\n" "e11" "E11: wall-clock timing"
+    "sanity: simulated-I/O ordering carries to wall-clock (run: segdb_cli compare FILE)"
 
 let run quick seed list ids =
   if list then begin

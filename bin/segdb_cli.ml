@@ -4,7 +4,7 @@
      generate  — emit a workload family as a segment file
      stats     — build an index and print structural statistics
      query     — run vertical line/ray/segment queries against a file
-     compare   — run a query workload across all backends (I/O table)
+     compare   — run a query workload across all backends (I/O and wall-clock table)
      batch     — answer a file of queries in parallel across domains
      save      — build an index and snapshot it to disk
      open      — reopen a snapshot (rebuilding the index) + optional WAL
@@ -496,13 +496,14 @@ let compare_backends file block pool nqueries selectivity seed =
   let table =
     Table.create
       ~title:(Printf.sprintf "%s: %d queries, selectivity %.3f" file nqueries selectivity)
-      ~columns:[ "backend"; "blocks"; "mean io"; "max io"; "mean t" ]
+      ~columns:[ "backend"; "blocks"; "mean io"; "max io"; "mean t"; "us/query" ]
   in
   List.iter
     (fun (name, backend) ->
       let db = Db.create ~backend ~block ~pool_blocks:pool segs in
       let io = Db.io db in
       let st = Segdb_util.Stats.create () and out = Segdb_util.Stats.create () in
+      let t0 = Unix.gettimeofday () in
       Array.iter
         (fun q ->
           let before = Io_stats.snapshot io in
@@ -511,6 +512,7 @@ let compare_backends file block pool nqueries selectivity seed =
           Segdb_util.Stats.add st (float_of_int (Io_stats.snapshot_total d));
           Segdb_util.Stats.add out (float_of_int k))
         queries;
+      let us = (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int (max 1 nqueries) in
       Table.add_row table
         [
           name;
@@ -518,6 +520,7 @@ let compare_backends file block pool nqueries selectivity seed =
           Table.cell_float ~decimals:1 (Segdb_util.Stats.mean st);
           Table.cell_float ~decimals:0 (Segdb_util.Stats.max st);
           Table.cell_float ~decimals:1 (Segdb_util.Stats.mean out);
+          Table.cell_float ~decimals:1 us;
         ])
     Db.all_backends;
   Table.print table;
@@ -528,7 +531,7 @@ let nqueries_t =
 
 let compare_cmd =
   Cmd.v
-    (Cmd.info "compare" ~doc:"run a query workload across all backends")
+    (Cmd.info "compare" ~doc:"run a query workload across all backends: blocks/query and us/query")
     Term.(const compare_backends $ file_t $ block_t $ pool_t $ nqueries_t $ selectivity_t $ seed_t)
 
 (* ---------------- batch ---------------- *)

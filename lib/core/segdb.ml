@@ -351,10 +351,6 @@ let scan_wal path =
 
 let apply_wal_ops t ops = List.iter (apply_op t) ops
 
-let pp_op ppf = function
-  | Op_insert s -> Format.fprintf ppf "insert %a" Segment.pp s
-  | Op_delete s -> Format.fprintf ppf "delete %a" Segment.pp s
-
 let wal_path t = Option.map Wal.path t.wal
 
 let detach_wal t =

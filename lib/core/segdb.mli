@@ -191,8 +191,6 @@ val apply_wal_ops : t -> op list -> unit
     already-present insert or already-absent delete is a no-op), and
     without logging them anywhere. *)
 
-val pp_op : Format.formatter -> op -> unit
-
 val encode_op : op -> string
 (** The exact WAL/replication record bytes for [op] — what {!insert}
     appends to an attached log and what the replication stream ships. *)

@@ -72,10 +72,6 @@ type worker_stats = {
   cache_misses : int;
 }
 
-let pp_worker_stats ppf w =
-  Format.fprintf ppf "worker %d: queries=%d reads=%d cache=%d/%d" w.worker w.queries
-    w.reads w.cache_hits (w.cache_hits + w.cache_misses)
-
 (* ---------------- the pool ---------------- *)
 
 type job = unit -> unit
@@ -601,12 +597,6 @@ let set_default_workers n =
   Mutex.lock default_m;
   if !default_pool = None && n > 0 then default_workers_override := Some n;
   Mutex.unlock default_m
-
-let default_created () =
-  Mutex.lock default_m;
-  let c = !default_pool <> None in
-  Mutex.unlock default_m;
-  c
 
 let default () =
   Mutex.lock default_m;

@@ -151,8 +151,6 @@ type worker_stats = {
 (** Per-participant accounting for one {!run} batch: deltas over the
     batch, so passed-in readers may be reused across batches. *)
 
-val pp_worker_stats : Format.formatter -> worker_stats -> unit
-
 val run :
   ?readers:Db.reader array ->
   ?cancel:bool Atomic.t ->
@@ -243,5 +241,3 @@ val set_default_workers : int -> unit
     pool exists (the first call to {!default}); later calls are
     ignored. *)
 
-val default_created : unit -> bool
-(** Whether the default pool has been forced yet. *)

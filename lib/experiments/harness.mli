@@ -5,7 +5,7 @@ open Segdb_io
     Experiments measure I/O by snapshotting a structure's {!Io_stats}
     counter around each operation; builds are excluded unless an
     experiment measures them explicitly. Parameters follow one global
-    convention: seed 42 unless varied, block size [B = 64], a 64-block
+    convention: seed 42 unless varied, block size [B = 64], a 16-block
     buffer pool (small relative to every index measured, so counts
     reflect traversals, not caching). *)
 

@@ -1,6 +1,6 @@
 (** The experiment registry (per-experiment index of DESIGN.md /
-    EXPERIMENTS.md). E11 — wall-clock timing — lives in [bench/main.ml]
-    since it is a Bechamel suite, not an I/O table. *)
+    EXPERIMENTS.md). E11 — wall-clock timing — is the [us/query] column
+    of [segdb_cli compare], not an I/O table. *)
 
 type experiment = {
   id : string;

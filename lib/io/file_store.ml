@@ -520,9 +520,6 @@ struct
   let path t = t.path
   let page_size t = t.page_size
 
-  let live_addrs t =
-    Hashtbl.fold (fun a _ acc -> a :: acc) t.extents [] |> List.sort compare
-
   let page_count t = t.next_page
 
   let verify t =

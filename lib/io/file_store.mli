@@ -106,9 +106,6 @@ end) : sig
   val path : t -> string
   val page_size : t -> int
 
-  val live_addrs : t -> Block_store.addr list
-  (** Live block addresses, ascending. *)
-
   val page_count : t -> int
   (** Pages in the file, superblock included: the file's size in
       pages. *)

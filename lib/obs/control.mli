@@ -12,10 +12,6 @@ val enabled : unit -> bool
 val enable : unit -> unit
 val disable : unit -> unit
 
-val with_enabled : (unit -> 'a) -> 'a
-(** Runs [f] with observability on, restoring the previous state after
-    (also on exceptions). *)
-
 val configure_from_env : unit -> unit
 (** Honour [SEGDB_OBS]: ["1"]/["true"]/["on"] enables, ["0"]/["false"]/
     ["off"] disables {e and} marks the subsystem force-disabled (see

@@ -254,8 +254,8 @@ let trace_json events =
   Buffer.contents buf
 
 (* Per-phase roll-up of the span histograms ([span.<phase>.ns] paired
-   with [span.<phase>.blocks]) — the table the bench and the CLI's
-   --trace flag print. *)
+   with [span.<phase>.blocks]) — the table the CLI's --trace flag and
+   [stats] print. *)
 let phase_summary reg =
   let hists = Metrics.histograms reg in
   let phase_of name =

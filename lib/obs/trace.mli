@@ -44,11 +44,6 @@ val fresh_request_id : unit -> int
 val current_request_id : unit -> int
 (** The calling domain's current request id; 0 when none is set. *)
 
-val set_request_id : int -> unit
-(** Sets the calling domain's request id; spans entered afterwards on
-    this domain are attributed to it. Prefer {!with_request_id} where
-    the extent is lexical. *)
-
 val with_request_id : int -> (unit -> 'a) -> 'a
 (** [with_request_id rid f] runs [f] with the calling domain's request
     id set to [rid], restoring the previous id afterwards (also on

@@ -303,5 +303,3 @@ let mixed_queries rng ~n ~span ~selectivity =
 let verify_nct segs =
   let isegs = Array.map Predicates.of_segment segs in
   Predicates.nct_set isegs
-
-let verify_nct_fast = Sweep.verify_nct

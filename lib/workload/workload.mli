@@ -77,7 +77,3 @@ val mixed_queries :
 val verify_nct : Segment.t array -> bool
 (** Exact pairwise check via integer predicates — only for families with
     integer coordinates, and test-sized inputs (O(n²)). *)
-
-val verify_nct_fast : Segment.t array -> bool
-(** Sweepline check ({!Segdb_geom.Sweep}): O(n log n), usable at index
-    scale; exact on integral coordinates. *)

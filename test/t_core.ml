@@ -665,6 +665,33 @@ let test_fresh_process_roundtrip () =
                 expect_q got_q))
         [ `Naive; `Solution2 ]
 
+(* [compare] is the wall-clock sanity check (E11): beside each backend's
+   I/O figures it prints a us/query cell timed around its query loop. *)
+let test_cli_compare_wall_clock () =
+  match cli_exe with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+      with_tmp ".seg" (fun file ->
+          Segdb_core.Seg_file.save file (pers_workload 56 300);
+          let rows =
+            run_lines (Filename.quote_command exe [ "compare"; file; "--queries"; "20" ])
+            |> List.map (fun l -> List.filter (( <> ) "") (String.split_on_char ' ' l))
+          in
+          let last w = List.nth w (List.length w - 1) in
+          let starting name = List.filter (function w :: _ -> w = name | [] -> false) rows in
+          (match starting "backend" with
+          | [ header ] -> Alcotest.(check string) "last column" "us/query" (last header)
+          | _ -> Alcotest.fail "no header row");
+          List.iter
+            (fun (name, _) ->
+              match starting name with
+              | [ row ] -> (
+                  match float_of_string_opt (last row) with
+                  | Some us when us > 0.0 -> ()
+                  | _ -> Alcotest.failf "%s: us/query cell %S is not positive" name (last row))
+              | rs -> Alcotest.failf "%s: %d rows, want 1" name (List.length rs))
+            Db.all_backends)
+
 (* ---------------- robustness: degraded reads, scrub, repair ---------------- *)
 
 module Snapshot = Segdb_core.Snapshot
@@ -934,6 +961,7 @@ let suite =
     cases
     @ [
         Alcotest.test_case "fresh-process snapshot roundtrip" `Quick test_fresh_process_roundtrip;
+        Alcotest.test_case "cli compare times every backend" `Quick test_cli_compare_wall_clock;
         Alcotest.test_case "scan_wal sees the op sequence" `Quick test_scan_wal;
         Alcotest.test_case "query_safe degrades and heals" `Quick test_query_safe_degraded;
         Alcotest.test_case "raw query raises under fault" `Quick test_raw_query_raises;
