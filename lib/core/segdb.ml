@@ -29,6 +29,10 @@ type t = {
          on the backend (naive/rtree accept duplicates, solution1/2
          refuse them), or replayed and retried records would
          double-apply on some backends only *)
+  query_phase : string;
+      (* the root query span's phase, built once: a name built per
+         query is young when the trace ring stores it, so every query
+         would promote it *)
 }
 
 let seed_ids segs =
@@ -51,11 +55,15 @@ let build_pack (cfg : Vs_index.config) backend segs =
       let v = Solution2.build cfg segs in
       Pack ((module Solution2), v, fun () -> Solution2.check_invariants v)
 
+let pack_name (cfg : Vs_index.config) (Pack ((module M), _, _)) =
+  if M.name = "solution2" && not cfg.Vs_index.cascade then "solution2-nofc" else M.name
+
 let create ?(backend = `Solution2) ?(block = 64) ?(pool_blocks = 64) segs =
   let cascade = backend <> `Solution2_nofc in
   let cfg = Vs_index.config ~pool_blocks ~block ~cascade () in
-  { cfg; backend; pack = build_pack cfg backend segs; wal = None;
-    generation = Atomic.make 0; commit_hook = None; ids = seed_ids segs }
+  let pack = build_pack cfg backend segs in
+  { cfg; backend; pack; wal = None; generation = Atomic.make 0; commit_hook = None;
+    ids = seed_ids segs; query_phase = "query." ^ pack_name cfg pack }
 
 let of_segments ?backend ?block ?pool_blocks polylines =
   let acc = ref [] in
@@ -162,11 +170,7 @@ let generation t = Atomic.get t.generation
 
 (* ---------------- queries ---------------- *)
 
-(* forward declaration lives below; the root span needs the resolved
-   backend name, which depends on [t.cfg] *)
-let backend_name t =
-  let (Pack ((module M), _, _)) = t.pack in
-  if M.name = "solution2" && not t.cfg.Vs_index.cascade then "solution2-nofc" else M.name
+let backend_name t = pack_name t.cfg t.pack
 
 (* The query path's own fault site: index blocks live in memory, so
    queries have no syscalls of their own to inject into — this gives
@@ -184,7 +188,7 @@ let query_iter t q ~f =
   fire_query ();
   let (Pack ((module M), v, _)) = t.pack in
   if Segdb_obs.Control.enabled () then
-    Probe.span t.cfg.stats ("query." ^ backend_name t) (fun () -> M.query v q ~f)
+    Probe.span t.cfg.stats t.query_phase (fun () -> M.query v q ~f)
   else M.query v q ~f
 
 let query t q =

@@ -12,6 +12,7 @@ type t = {
   bound_ : Unix.sockaddr;
   handler : string -> response;
   mutable conns : hconn list;
+  rbuf : Bytes.t;  (** one receive buffer for every read of this exporter *)
 }
 
 let max_request_bytes = 8192
@@ -31,7 +32,7 @@ let create ~handler sa =
    with e ->
      Unix.close lfd;
      raise e);
-  { lfd; bound_ = Unix.getsockname lfd; handler; conns = [] }
+  { lfd; bound_ = Unix.getsockname lfd; handler; conns = []; rbuf = Bytes.create 4096 }
 
 let bound t = t.bound_
 let fds t = t.lfd :: List.map (fun c -> c.fd) t.conns
@@ -118,8 +119,10 @@ let answer t c =
   send_response c.fd resp;
   close_conn t c
 
+(* [t.rbuf], not a buffer per read: 4 KiB is above the minor heap's
+   size limit, so each would be a major allocation. *)
 let read_conn t c =
-  let buf = Bytes.create 4096 in
+  let buf = t.rbuf in
   match Failpoint.Io.recv c.fd buf ~pos:0 ~len:(Bytes.length buf) with
   | 0 ->
       (* peer closed before completing its request; nothing to answer *)

@@ -90,6 +90,7 @@ type t = {
   mutable http : Http.t option;  (** the monitoring exporter, if enabled *)
   mutable metrics_bound_ : addr option;
   mutable runner : unit Domain.t option;
+  rbuf : Bytes.t;  (** the accept loop's receive buffer, reused by every read *)
   (* metric handles, resolved once *)
   m_requests : Metrics.counter;
   m_bytes_in : Metrics.counter;
@@ -164,6 +165,7 @@ let create ?(domains = 2) ?(queue_depth = 128) ?(deadline_ms = 5000) ?cache_bloc
       http = None;
       metrics_bound_ = None;
       runner = None;
+      rbuf = Bytes.create 65536;
       m_requests = Metrics.counter reg "net.requests";
       m_bytes_in = Metrics.counter reg "net.bytes_in";
       m_bytes_out = Metrics.counter reg "net.bytes_out";
@@ -566,34 +568,35 @@ let dispatch t conn req =
       if Atomic.get t.stopping then respond t conn (Wire.Error (Wire.Shutting_down, "draining"))
       else submit_query t conn req
 
-(* Peel complete frames off [conn.inbuf]. Framing damage (oversized
-   header, CRC mismatch) means the stream can no longer be trusted:
-   answer [Corrupt_frame] and close. A frame that is intact but does
-   not decode is the client's problem alone: [Bad_request], stream
-   stays up. *)
-let parse_frames t conn =
-  let continue = ref true in
-  while !continue && not (Atomic.get conn.closing) do
-    let buf = conn.inbuf in
-    let have = String.length buf in
-    if have < Wire.header_bytes then continue := false
+(* Peel complete frames off [data]: the connection's unframed bytes
+   followed by the latest read. Frames are walked by offset and the
+   unframed tail is kept once, after the walk, so pipelined frames cost
+   no copy of the rest per frame. Framing damage (oversized header, CRC
+   mismatch) means the stream can no longer be trusted: answer
+   [Corrupt_frame] and close. A frame that is intact but does not
+   decode is the client's problem alone: [Bad_request], stream stays
+   up. *)
+let parse_frames t conn data =
+  let have = String.length data in
+  let corrupt e =
+    respond t conn (Wire.Error (Wire.Corrupt_frame, Wire.protocol_error_to_string e));
+    Atomic.set conn.closing true
+  in
+  let rec walk off =
+    if Atomic.get conn.closing then conn.inbuf <- ""
+    else if have - off < Wire.header_bytes then keep off
     else
-      match Wire.decode_header (String.sub buf 0 Wire.header_bytes) with
-      | Result.Error e ->
-          respond t conn (Wire.Error (Wire.Corrupt_frame, Wire.protocol_error_to_string e));
-          Atomic.set conn.closing true
+      match Wire.decode_header ~pos:off data with
+      | Result.Error e -> corrupt e
       | Result.Ok (len, crc) ->
-          if have < Wire.header_bytes + len then continue := false
+          let next = off + Wire.header_bytes + len in
+          if have < next then keep off
           else begin
-            let payload = String.sub buf Wire.header_bytes len in
-            conn.inbuf <-
-              String.sub buf (Wire.header_bytes + len) (have - Wire.header_bytes - len);
-            match Wire.check_payload ~crc payload with
+            (match Wire.check_payload ~crc (String.sub data (off + Wire.header_bytes) len) with
             | Result.Error e ->
                 Log.warn ~comp:"server" "corrupt frame; closing stream" (fun () ->
                     [ Log.s "peer" conn.peer; Log.s "error" (Wire.protocol_error_to_string e) ]);
-                respond t conn (Wire.Error (Wire.Corrupt_frame, Wire.protocol_error_to_string e));
-                Atomic.set conn.closing true
+                corrupt e
             | Result.Ok payload -> (
                 let t_dec = if Control.enabled () then Trace.now_ns () else 0 in
                 let decoded = Wire.decode_request payload in
@@ -603,19 +606,27 @@ let parse_frames t conn =
                 | Result.Error e ->
                     respond t conn
                       (Wire.Error (Wire.Bad_request, Wire.protocol_error_to_string e))
-                | Result.Ok req -> dispatch t conn req)
+                | Result.Ok req -> dispatch t conn req));
+            walk next
           end
-  done
+  and keep off = conn.inbuf <- (if off = 0 then data else String.sub data off (have - off)) in
+  walk 0
 
+(* Reads into the loop's one receive buffer: a buffer per read would be
+   allocated straight in the major heap (it is far above the minor
+   heap's size limit), once per request. *)
 let read_chunk t conn =
-  let buf = Bytes.create 65536 in
+  let buf = t.rbuf in
   match Failpoint.Io.recv conn.fd buf ~pos:0 ~len:(Bytes.length buf) with
   | 0 -> Atomic.set conn.closing true
   | n ->
       if Control.enabled () then Metrics.add t.m_bytes_in n;
       conn.last_active <- Unix.gettimeofday ();
-      conn.inbuf <- conn.inbuf ^ Bytes.sub_string buf 0 n;
-      parse_frames t conn
+      let held = String.length conn.inbuf in
+      let data = Bytes.create (held + n) in
+      Bytes.blit_string conn.inbuf 0 data 0 held;
+      Bytes.blit buf 0 data held n;
+      parse_frames t conn (Bytes.unsafe_to_string data)
   | exception Unix.Unix_error (_, _, _) -> Atomic.set conn.closing true
 
 let peer_string fd =

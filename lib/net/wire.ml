@@ -399,8 +399,8 @@ let frame payload =
 let encode_request req = frame (request_payload req)
 let encode_response resp = frame (response_payload resp)
 
-let decode_header s =
-  let r = Codec.R.of_string s in
+let decode_header ?pos s =
+  let r = Codec.R.of_string ?pos s in
   let len = Codec.R.u32 r in
   let crc = Codec.R.u32 r in
   if len > max_frame then Result.Error (Oversized len) else Result.Ok (len, crc)

@@ -189,8 +189,9 @@ val decode_request : string -> (request, protocol_error) result
 
 val decode_response : string -> (response, protocol_error) result
 
-val decode_header : string -> (int * int, protocol_error) result
-(** [(payload_len, crc)] from the first {!header_bytes} bytes. *)
+val decode_header : ?pos:int -> string -> (int * int, protocol_error) result
+(** [(payload_len, crc)] from the {!header_bytes} bytes at [pos]
+    (default 0). *)
 
 val check_payload : crc:int -> string -> (string, protocol_error) result
 

@@ -20,6 +20,7 @@ type t = {
   counters : (string, counter) Hashtbl.t;
   gauges : (string, gauge) Hashtbl.t;
   histograms : (string, Histogram.t) Hashtbl.t;
+  pairs : (string, Histogram.t * Histogram.t) Hashtbl.t;  (** [observe_pair]'s memo *)
 }
 
 let create () =
@@ -28,6 +29,7 @@ let create () =
     counters = Hashtbl.create 64;
     gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 64;
+    pairs = Hashtbl.create 64;
   }
 
 let default = create ()
@@ -55,6 +57,27 @@ let set_gauge g v = Atomic.set g v
 let observe t name v =
   locked t (fun () ->
       Histogram.record (get_or_create t.histograms name Histogram.create) v)
+
+(* No closure and, once [key] is memoized, no name built: the lock is
+   taken by hand, as nothing under it can raise. [reset] clears
+   histograms in place, so a memoized pair stays the registry's. *)
+let observe_pair t key ~names a b =
+  Mutex.lock t.mu;
+  let ha, hb =
+    match Hashtbl.find_opt t.pairs key with
+    | Some pair -> pair
+    | None ->
+        let na, nb = names key in
+        let pair =
+          ( get_or_create t.histograms na Histogram.create,
+            get_or_create t.histograms nb Histogram.create )
+        in
+        Hashtbl.add t.pairs key pair;
+        pair
+  in
+  Histogram.record ha a;
+  Histogram.record hb b;
+  Mutex.unlock t.mu
 
 let merge_histogram t name src =
   locked t (fun () ->

@@ -35,6 +35,14 @@ val observe : t -> string -> int -> unit
 (** Records one sample into the named histogram (created on first use).
     Thread-safe: serialized on the registry lock. *)
 
+val observe_pair : t -> string -> names:(string -> string * string) -> int -> int -> unit
+(** [observe_pair t key ~names a b] records [a] and [b] into the two
+    histograms that [names key] names, under one lock. The pair is
+    resolved on [key]'s first use and memoized, so later calls build no
+    name and do one table lookup: the cheap path for a hot caller with
+    a small, fixed set of keys. A key must always come with the same
+    [names]. *)
+
 val merge_histogram : t -> string -> Histogram.t -> unit
 (** Folds a privately-recorded histogram into the named one — the
     cheap way for a worker to publish many samples at once. *)

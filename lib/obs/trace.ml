@@ -72,12 +72,37 @@ let with_request_id rid f =
 (* Each domain owns one ring (created and registered on first use);
    only the owner writes it, so pushes are lock-free. The mutex guards
    the registry of rings and the structural operations
-   ([set_capacity]/[clear]/[events]). [events] reading a ring while its
-   owner pushes is a benign race: slots hold immutable event records
-   behind a single pointer store, so a reader sees either the old or
-   the new event, never a torn one. *)
+   ([set_capacity]/[clear]/[events]).
 
-type ring = { mutable slots : event option array; mutable next : int }
+   A ring is preallocated as parallel arrays, one per event field, and
+   a push only overwrites slots: it allocates nothing, and since the
+   fields are ints and phase strings that are literals (or built once
+   by their caller), it leaves no young value reachable from the ring,
+   which lives in the major heap. A ring of fresh [Some event] records
+   would have every event promoted by the next minor GC. [events]
+   builds the records on read.
+
+   [events] reads a ring while its owner may be pushing. [ver] is a
+   sequence lock over the whole ring: the owner makes it odd before
+   writing event [k] into its slot and even ([2k+2]) after, so a reader
+   keeps only events completed when it began and not overwritten (a
+   later event started in the same slot) by the time it finished: never
+   a torn event. [set_capacity] and [clear] swap in a fresh [store]; an
+   owner mid-push finishes into the old one, whose events are
+   discarded anyway. *)
+
+type store = {
+  ver : int Atomic.t;
+  seq_a : int array;
+  depth_a : int array;
+  t0_a : int array;
+  dur_a : int array;
+  blocks_a : int array;
+  rid_a : int array;
+  phase_a : string array;
+}
+
+type ring = { mutable store : store; dom : int }
 
 let mu = Mutex.create ()
 let default_capacity = 4096
@@ -89,9 +114,22 @@ let locked f =
   Mutex.lock mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
+let make_store n =
+  let ints () = Array.make n 0 in
+  {
+    ver = Atomic.make 0;
+    seq_a = ints ();
+    depth_a = ints ();
+    t0_a = ints ();
+    dur_a = ints ();
+    blocks_a = ints ();
+    rid_a = ints ();
+    phase_a = Array.make n "";
+  }
+
 let ring_key =
   Domain.DLS.new_key (fun () ->
-      let r = { slots = Array.make (Atomic.get cap) None; next = 0 } in
+      let r = { store = make_store (Atomic.get cap); dom = (Domain.self () :> int) } in
       locked (fun () -> rings := r :: !rings);
       r)
 
@@ -99,41 +137,65 @@ let set_capacity n =
   if n < 1 then invalid_arg "Trace.set_capacity: capacity must be positive";
   locked (fun () ->
       Atomic.set cap n;
-      List.iter
-        (fun r ->
-          r.slots <- Array.make n None;
-          r.next <- 0)
-        !rings;
+      List.iter (fun r -> r.store <- make_store n) !rings;
       Atomic.set next_seq 0)
 
 let capacity () = Atomic.get cap
 
 let clear () =
   locked (fun () ->
-      List.iter
-        (fun r ->
-          Array.fill r.slots 0 (Array.length r.slots) None;
-          r.next <- 0)
-        !rings;
+      let n = Atomic.get cap in
+      List.iter (fun r -> r.store <- make_store n) !rings;
       Atomic.set next_seq 0)
 
 (* Push onto the calling domain's ring. The ring keeps its own write
-   cursor (not [seq mod capacity]) so each domain retains its last
-   [capacity] events even when seqs interleave across domains. *)
-let push ev =
-  let r = Domain.DLS.get ring_key in
-  let slots = r.slots in
-  slots.(r.next mod Array.length slots) <- Some ev;
-  r.next <- r.next + 1
+   cursor (the event count in [ver], not [seq mod capacity]) so each
+   domain retains its last [capacity] events even when seqs interleave
+   across domains. *)
+let push ~seq ~phase ~depth ~t0_ns ~dur_ns ~blocks ~request_id =
+  let s = (Domain.DLS.get ring_key).store in
+  let v = Atomic.get s.ver in
+  let i = v / 2 mod Array.length s.seq_a in
+  Atomic.set s.ver (v + 1);
+  s.seq_a.(i) <- seq;
+  s.depth_a.(i) <- depth;
+  s.t0_a.(i) <- t0_ns;
+  s.dur_a.(i) <- dur_ns;
+  s.blocks_a.(i) <- blocks;
+  s.rid_a.(i) <- request_id;
+  s.phase_a.(i) <- phase;
+  Atomic.set s.ver (v + 2)
+
+let ring_events r acc =
+  let s = r.store in
+  let n = Array.length s.seq_a in
+  let v0 = Atomic.get s.ver in
+  let events = ref [] in
+  for k = max 0 ((v0 / 2) - n) to (v0 / 2) - 1 do
+    let i = k mod n in
+    events :=
+      (k,
+       {
+         seq = s.seq_a.(i);
+         phase = s.phase_a.(i);
+         depth = s.depth_a.(i);
+         t0_ns = s.t0_a.(i);
+         dur_ns = s.dur_a.(i);
+         blocks = s.blocks_a.(i);
+         request_id = s.rid_a.(i);
+         dom = r.dom;
+       })
+      :: !events
+  done;
+  (* events started after [v0], counted by [ver] now (an odd [ver]
+     counts the one in flight), overwrote the slots of the oldest *)
+  let started = (Atomic.get s.ver + 1) / 2 in
+  List.fold_left (fun acc (k, ev) -> if k + n >= started then ev :: acc else acc) acc !events
 
 let events () =
   locked (fun () ->
-      let acc = ref [] in
-      List.iter
-        (fun r ->
-          Array.iter (function Some ev -> acc := ev :: !acc | None -> ()) r.slots)
-        !rings;
-      List.sort (fun (a : event) b -> compare a.seq b.seq) !acc)
+      let acc = List.fold_left (fun acc r -> ring_events r acc) [] !rings in
+      List.sort (fun (a : event) b -> compare a.seq b.seq) acc)
 
 (* ---------------- spans ---------------- *)
 
@@ -159,26 +221,22 @@ let enter ?(blocks = 0) phase =
     sp
   end
 
+let span_histograms phase = (span_histogram phase, span_blocks_histogram phase)
+
+(* One registry lock per event; the phase's two histograms are resolved
+   once and memoized, so no name is built per call. *)
+let observe phase ~dur_ns ~blocks =
+  Metrics.observe_pair Metrics.default phase ~names:span_histograms dur_ns blocks
+
 let exit ?(blocks = 0) sp =
   if sp != none then begin
     let d = Domain.DLS.get depth_key in
     if !d > 0 then decr d;
-    let dur = now_ns () - sp.st0 in
+    let dur_ns = now_ns () - sp.st0 in
     let blocks = max 0 (blocks - sp.sblocks) in
-    let seq = Atomic.fetch_and_add next_seq 1 in
-    push
-      {
-        seq;
-        phase = sp.sphase;
-        depth = sp.sdepth;
-        t0_ns = sp.st0;
-        dur_ns = dur;
-        blocks;
-        request_id = sp.srid;
-        dom = (Domain.self () :> int);
-      };
-    Metrics.observe Metrics.default (span_histogram sp.sphase) dur;
-    Metrics.observe Metrics.default (span_blocks_histogram sp.sphase) blocks
+    push ~seq:(Atomic.fetch_and_add next_seq 1) ~phase:sp.sphase ~depth:sp.sdepth
+      ~t0_ns:sp.st0 ~dur_ns ~blocks ~request_id:sp.srid;
+    observe sp.sphase ~dur_ns ~blocks
   end
 
 let with_span ?(blocks = fun () -> 0) phase f =
@@ -194,19 +252,8 @@ let with_span ?(blocks = fun () -> 0) phase f =
    domain's ring and feeds the same per-phase histograms as a span. *)
 let record ?request_id ?(blocks = 0) ~t0_ns ~dur_ns phase =
   if Control.enabled () then begin
-    let rid = match request_id with Some r -> r | None -> current_request_id () in
-    let seq = Atomic.fetch_and_add next_seq 1 in
-    push
-      {
-        seq;
-        phase;
-        depth = !(Domain.DLS.get depth_key);
-        t0_ns;
-        dur_ns;
-        blocks;
-        request_id = rid;
-        dom = (Domain.self () :> int);
-      };
-    Metrics.observe Metrics.default (span_histogram phase) dur_ns;
-    Metrics.observe Metrics.default (span_blocks_histogram phase) blocks
+    let request_id = match request_id with Some r -> r | None -> current_request_id () in
+    push ~seq:(Atomic.fetch_and_add next_seq 1) ~phase ~depth:!(Domain.DLS.get depth_key)
+      ~t0_ns ~dur_ns ~blocks ~request_id;
+    observe phase ~dur_ns ~blocks
   end

@@ -16,7 +16,11 @@
 
     All of it is inert while {!Control.enabled} is false: [enter]
     returns a shared dummy, [exit] returns immediately, nothing is
-    allocated or locked. *)
+    allocated or locked. When on, recording an event allocates nothing
+    that outlives a minor GC: the rings are preallocated arrays and
+    {!events} builds the records on read. The ring keeps the phase
+    string itself, so a phase should be a literal or built once; one
+    built per call is promoted with every event. *)
 
 type event = {
   seq : int;  (** monotone across the process; survives wraparound *)

@@ -581,6 +581,50 @@ let test_retired_tag_live () =
                 ids
           | r -> Alcotest.failf "expected ids, got %s" (resp_name r)))
 
+(* The server walks the frames of one read by offset and keeps the
+   unframed tail between reads: three frames in one write and one frame
+   a byte at a time are four answers in order, and framing damage after
+   them still closes the stream. *)
+let test_pipelined_and_split_frames () =
+  let db = build_db ~n:200 () in
+  with_server ~domains:1 db (fun addr ->
+      let sa = Server.sockaddr_of addr in
+      let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd sa;
+          let qs = Array.sub (random_queries 11) 0 4 in
+          let frame q = Wire.encode_request (Wire.Query q) in
+          Wire.send fd (String.concat "" (List.map frame (Array.to_list (Array.sub qs 0 3))));
+          String.iter
+            (fun c ->
+              Wire.send fd (String.make 1 c);
+              Unix.sleepf 0.001)
+            (frame qs.(3));
+          Array.iteri
+            (fun i q ->
+              match read_resp fd with
+              | Wire.Ids { ids; complete = true; _ } ->
+                  Alcotest.(check (list int))
+                    (Printf.sprintf "answer %d" i)
+                    (List.sort_uniq compare (Db.query_ids db q))
+                    ids
+              | r -> Alcotest.failf "answer %d: expected ids, got %s" i (resp_name r))
+            qs;
+          let bad = Bytes.of_string (frame qs.(0)) in
+          let last = Bytes.length bad - 1 in
+          Bytes.set bad last (Char.chr (Char.code (Bytes.get bad last) lxor 0xff));
+          Wire.send fd (Bytes.to_string bad);
+          (match read_resp fd with
+          | Wire.Error (Wire.Corrupt_frame, _) -> ()
+          | r -> Alcotest.failf "expected corrupt frame, got %s" (resp_name r));
+          match Wire.recv ~timeout:60.0 fd with
+          | Result.Error Wire.Truncated -> ()
+          | Result.Ok _ -> Alcotest.fail "stream stayed open after a corrupt frame"
+          | Result.Error e ->
+              Alcotest.failf "expected end of stream, got %s" (Wire.protocol_error_to_string e)))
+
 (* ---------------- the CLI reads queries from stdin ---------------- *)
 
 let cli_exe =
@@ -802,6 +846,7 @@ let suite =
       Alcotest.test_case "cli batch reads queries from stdin" `Quick test_cli_batch_stdin;
       Alcotest.test_case "retired tag answered bad request on a live server" `Quick
         test_retired_tag_live;
+      Alcotest.test_case "pipelined and split frames" `Quick test_pipelined_and_split_frames;
       Alcotest.test_case "cli top renders windowed latency" `Quick test_cli_top;
       Alcotest.test_case "http: /metrics scrape + /healthz" `Quick test_http_metrics_scrape;
       Alcotest.test_case "http: stalled replica healthz 503" `Quick test_http_healthz_stall;

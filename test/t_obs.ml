@@ -267,6 +267,35 @@ let test_ring_wraparound () =
       Alcotest.(check string) "phase" (Printf.sprintf "p%d" (12 + i)) ev.phase)
     evs
 
+(* The ring is preallocated and a push only stores ints and the phase
+   (a literal here) into its arrays, so recording leaves nothing young
+   reachable from the major heap: a minor GC promotes nothing. A ring
+   of fresh event records promotes every event, ~11 words each. *)
+let test_ring_no_promotion () =
+  with_tracing @@ fun () ->
+  let n = 100_000 in
+  let promoted_per_event f =
+    Gc.minor ();
+    let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+    for _ = 1 to n do
+      f ()
+    done;
+    Gc.minor ();
+    ((Gc.quick_stat ()).Gc.promoted_words -. p0) /. float_of_int n
+  in
+  let record () = Trace.record ~t0_ns:1 ~dur_ns:2 "promo.record" in
+  let span () = Trace.exit (Trace.enter "promo.span") in
+  (* warm: this domain's ring and both phases' histograms exist *)
+  for _ = 1 to Trace.capacity () do
+    record ();
+    span ()
+  done;
+  List.iter
+    (fun (what, f) ->
+      let w = promoted_per_event f in
+      if w >= 0.01 then Alcotest.failf "%s promotes %.3f words/event" what w)
+    [ ("record", record); ("enter/exit", span) ]
+
 let test_span_nesting_and_histograms () =
   with_tracing @@ fun () ->
   Trace.with_span "outer" (fun () ->
@@ -783,6 +812,7 @@ let suite =
       Alcotest.test_case "metrics registry basics + merge" `Quick test_registry_basics;
       Alcotest.test_case "io_stats increments are atomic" `Quick test_atomic_io_stats;
       Alcotest.test_case "trace ring wraparound" `Quick test_ring_wraparound;
+      Alcotest.test_case "trace ring promotes nothing" `Quick test_ring_no_promotion;
       Alcotest.test_case "span nesting feeds histograms" `Quick test_span_nesting_and_histograms;
       Alcotest.test_case "per-domain rings merge losslessly" `Quick test_per_domain_rings;
       Alcotest.test_case "request-id propagation" `Quick test_request_ids;
