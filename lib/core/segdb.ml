@@ -255,7 +255,7 @@ let query_ids_r t r q =
 
 let query_iter_r t r q ~f =
   let (Pack ((module M), v, _)) = t.pack in
-  M.query_r r v q ~f
+  Vs_index.with_reader r (fun () -> M.query v q ~f)
 
 let count_r t r q =
   let n = ref 0 in

@@ -113,28 +113,21 @@ let build (cfg : Vs_index.config) segs =
 
 (* ---------------- query ---------------- *)
 
+(* A crossing segment has its left part in L and a mirrored right part
+   in R; at x = bl(v) both contain it, so only L is read there. *)
 let query t (q : Vquery.t) ~f =
   Probe.span t.cfg.stats "sol1.descent" @@ fun () ->
-  let seen = Hashtbl.create 16 in
-  let emit id =
-    if not (Hashtbl.mem seen id) then begin
-      Hashtbl.add seen id ();
-      f (Hashtbl.find t.by_id id)
-    end
-  in
+  let emit id = f (Hashtbl.find t.by_id id) in
   let rec go addr =
     if addr <> Block_store.null then
       match Store.read t.store addr with
-      | Leaf segs ->
-          Array.iter (fun (s : Segment.t) -> if Vquery.matches q s then emit s.id) segs
+      | Leaf segs -> Array.iter (fun s -> if Vquery.matches q s then f s) segs
       | Node n ->
           if q.x = n.xb then begin
-            (match n.c with
-            | Some c -> Itree.overlap c ~lo:q.ylo ~hi:q.yhi ~f:(fun iv -> emit iv.seg.Segment.id)
-            | None -> ());
-            let lq = Lseg.query ~uq:0.0 ~vlo:q.ylo ~vhi:q.yhi in
-            Pst.query n.l lq ~f:emit;
-            Pst.query n.r lq ~f:emit
+            Option.iter
+              (fun c -> Itree.overlap c ~lo:q.ylo ~hi:q.yhi ~f:(fun iv -> f iv.Itree.seg))
+              n.c;
+            Pst.query n.l (Lseg.query ~uq:0.0 ~vlo:q.ylo ~vhi:q.yhi) ~f:emit
             (* all segments touching the base line live here: stop *)
           end
           else if q.x < n.xb then begin
@@ -148,8 +141,6 @@ let query t (q : Vquery.t) ~f =
   in
   go t.root
 
-let query_r r t q ~f = Read_context.with_reader r (fun () -> query t q ~f)
-
 let iter_all t ~f = Hashtbl.iter (fun _ s -> f s) t.by_id
 
 (* ---------------- insertion ---------------- *)
@@ -162,42 +153,24 @@ let node_size t addr =
 let needs_rebuild t ~child_size ~subtree_size =
   subtree_size > 4 * t.cfg.block && 4 * (child_size + 1) > 3 * (subtree_size + 1)
 
-let rec collect t addr seen acc =
+(* Each segment sits in exactly one leaf, [c] or [l] entry. *)
+let rec collect t addr acc =
   if addr <> Block_store.null then begin
+    let add s = acc := s :: !acc in
     (match Store.read t.store addr with
-    | Leaf segs ->
-        Array.iter
-          (fun (s : Segment.t) ->
-            if not (Hashtbl.mem seen s.id) then begin
-              Hashtbl.add seen s.id ();
-              acc := s :: !acc
-            end)
-          segs
+    | Leaf segs -> Array.iter add segs
     | Node n ->
-        (match n.c with
-        | Some c ->
-            Itree.iter c (fun iv ->
-                let s = iv.Itree.seg in
-                if not (Hashtbl.mem seen s.Segment.id) then begin
-                  Hashtbl.add seen s.Segment.id ();
-                  acc := s :: !acc
-                end)
-        | None -> ());
-        Pst.iter n.l (fun ls ->
-            let id = ls.Lseg.id in
-            if not (Hashtbl.mem seen id) then begin
-              Hashtbl.add seen id ();
-              acc := Hashtbl.find t.by_id id :: !acc
-            end);
+        Option.iter (fun c -> Itree.iter c (fun iv -> add iv.Itree.seg)) n.c;
+        Pst.iter n.l (fun ls -> add (Hashtbl.find t.by_id ls.Lseg.id));
         (* right parts mirror left parts: already collected *)
-        collect t n.left seen acc;
-        collect t n.right seen acc);
+        collect t n.left acc;
+        collect t n.right acc);
     Store.free t.store addr
   end
 
 let rebuild_subtree t addr =
   let acc = ref [] in
-  collect t addr (Hashtbl.create 64) acc;
+  collect t addr acc;
   build_node t (Array.of_list !acc)
 
 let rec insert_rec t addr (s : Segment.t) : Block_store.addr =

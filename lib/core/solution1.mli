@@ -14,9 +14,11 @@
 
     A query at abscissa [x0] walks one root-to-leaf path, querying
     [L(v)] or [R(v)] at depth [|x0 - bl(v)|] on the way; if [x0] hits a
-    base line exactly it queries [C(v)] and both PSTs at depth 0 and
-    stops. Every segment is stored at exactly one node, so answers are
-    reported once (base-line hits are de-duplicated by id).
+    base line exactly it queries [C(v)] and [L(v)] at depth 0 and stops.
+    Every segment is stored at exactly one node, and a crossing
+    segment's two halves meet only on the base line, which [L(v)] owns
+    ([R(v)] is not read there), so each answer is reported once by
+    construction.
 
     Updates follow the paper's BB[alpha] discipline via weight-balanced
     subtree rebuilds: storage O(n), query

@@ -172,52 +172,40 @@ let build (cfg : Vs_index.config) segs =
 
 (* ---------------- query ---------------- *)
 
+(* Slabs are half-open: x lies in slab k = [b_(k-1), b_k). A segment
+   crossing boundaries f..l answers from G on [b_f, b_l), from L_f left
+   of b_f and from R_l from b_l on; one lying on b_i answers from C_i.
+   So at x = b_(k-1) neither L_k nor child k can hold an answer, and
+   every answer is reported exactly once. *)
 let query t (q : Vquery.t) ~f =
   Probe.span t.cfg.stats "sol2.descent" @@ fun () ->
-  let seen = Hashtbl.create 16 in
-  let emit id =
-    if not (Hashtbl.mem seen id) then begin
-      Hashtbl.add seen id ();
-      f (Hashtbl.find t.by_id id)
-    end
-  in
+  let emit id = f (Hashtbl.find t.by_id id) in
   let emit_frag (s : Segment.t) = emit s.id in
   let rec go addr =
     if addr <> Block_store.null then
       match Store.read t.store addr with
-      | Leaf segs ->
-          Array.iter (fun (s : Segment.t) -> if Vquery.matches q s then emit s.id) segs
+      | Leaf segs -> Array.iter (fun s -> if Vquery.matches q s then f s) segs
       | Node n ->
-          let m = Array.length n.boundaries in
           let k = slab_of n.boundaries q.x in
-          let hit_boundary = k >= 1 && n.boundaries.(k - 1) = q.x in
+          let on_boundary = k >= 1 && n.boundaries.(k - 1) = q.x in
           (match n.g with
           | Some g -> G.query g ~x:q.x ~ylo:q.ylo ~yhi:q.yhi ~f:emit_frag
           | None -> ());
-          if hit_boundary then begin
-            let i = k - 1 in
-            (match n.cs.(i) with
-            | Some c -> Itree.overlap c ~lo:q.ylo ~hi:q.yhi ~f:(fun iv -> emit iv.seg.Segment.id)
-            | None -> ());
-            let lq = Lseg.query ~uq:0.0 ~vlo:q.ylo ~vhi:q.yhi in
-            Pst.query n.ls.(i) lq ~f:emit;
-            Pst.query n.rs.(i) lq ~f:emit
-          end
-          else begin
-            if k <= m - 1 then
-              Pst.query n.ls.(k)
-                (Lseg.query ~uq:(n.boundaries.(k) -. q.x) ~vlo:q.ylo ~vhi:q.yhi)
-                ~f:emit;
-            if k >= 1 then
-              Pst.query n.rs.(k - 1)
-                (Lseg.query ~uq:(q.x -. n.boundaries.(k - 1)) ~vlo:q.ylo ~vhi:q.yhi)
-                ~f:emit
-          end;
-          go n.kids.(k)
+          if (not on_boundary) && k < Array.length n.boundaries then
+            Pst.query n.ls.(k)
+              (Lseg.query ~uq:(n.boundaries.(k) -. q.x) ~vlo:q.ylo ~vhi:q.yhi)
+              ~f:emit;
+          if k >= 1 then
+            Pst.query n.rs.(k - 1)
+              (Lseg.query ~uq:(q.x -. n.boundaries.(k - 1)) ~vlo:q.ylo ~vhi:q.yhi)
+              ~f:emit;
+          if on_boundary then
+            Option.iter
+              (fun c -> Itree.overlap c ~lo:q.ylo ~hi:q.yhi ~f:(fun iv -> f iv.Itree.seg))
+              n.cs.(k - 1)
+          else go n.kids.(k)
   in
   go t.root
-
-let query_r r t q ~f = Read_context.with_reader r (fun () -> query t q ~f)
 
 let iter_all t ~f = Hashtbl.iter (fun _ s -> f s) t.by_id
 
@@ -231,30 +219,23 @@ let needs_rebuild t ~child_size ~subtree_size =
   subtree_size > 4 * t.cfg.block
   && (t.branching + 1) * (child_size + 1) > 4 * (subtree_size + 1)
 
-let rec collect t addr seen acc =
+(* Each segment sits in exactly one leaf, [cs] or [ls] entry. *)
+let rec collect t addr acc =
   if addr <> Block_store.null then begin
-    let add (s : Segment.t) =
-      if not (Hashtbl.mem seen s.id) then begin
-        Hashtbl.add seen s.id ();
-        acc := s :: !acc
-      end
-    in
-    let add_id id = add (Hashtbl.find t.by_id id) in
+    let add s = acc := s :: !acc in
     (match Store.read t.store addr with
     | Leaf segs -> Array.iter add segs
     | Node n ->
-        Array.iter
-          (function Some c -> Itree.iter c (fun iv -> add iv.Itree.seg) | None -> ())
-          n.cs;
-        Array.iter (fun p -> Pst.iter p (fun ls -> add_id ls.Lseg.id)) n.ls;
+        Array.iter (Option.iter (fun c -> Itree.iter c (fun iv -> add iv.Itree.seg))) n.cs;
+        Array.iter (fun p -> Pst.iter p (fun ls -> add (Hashtbl.find t.by_id ls.Lseg.id))) n.ls;
         (* rs mirror ls; G fragments come from the same segments *)
-        Array.iter (fun kid -> collect t kid seen acc) n.kids);
+        Array.iter (fun kid -> collect t kid acc) n.kids);
     Store.free t.store addr
   end
 
 let rebuild_subtree t addr =
   let acc = ref [] in
-  collect t addr (Hashtbl.create 64) acc;
+  collect t addr acc;
   build_node t (Array.of_list !acc)
 
 let rec insert_rec t addr (s : Segment.t) : Block_store.addr =

@@ -13,7 +13,13 @@
 
     A query visits one node per level, querying two PSTs and walking
     one root-to-leaf path of [G] — cascaded, so only the topmost [G]
-    level pays a list search. Storage O(n log2 B) from the [G]
+    level pays a list search. Slabs are half-open, [[b_(i-1), b_i)],
+    which fixes one owner per answer: a segment crossing boundaries
+    [f..l] answers from [L_f] left of [b_f], from [G] on [[b_f, b_l)]
+    and from [R_l] on [[b_l, x2]]; one lying on [b_i] from [C_i]. A
+    query exactly on [b_i] reads [G], [R_i] and [C_i] and skips [L_(i+1)]
+    and the child slab, so each answer is reported once by
+    construction. Storage O(n log2 B) from the [G]
     multiplicity; query O(log_B n (log_B n + log2 B + IL*(B)) + t);
     insertions are semi-dynamic per the paper, via PST push-down,
     [C_i]/[G] doubling rebuilds and weight-balanced first-level

@@ -7,8 +7,8 @@ open Segdb_geom
     shared I/O counter, and the block size [B]. The experiments measure
     an operation by snapshotting [stats] around it.
 
-    {b Reader/writer contract.} The query operations ([query],
-    [query_r], and everything built on them — counts, id lists,
+    {b Reader/writer contract.} The query operations ([query] and
+    everything built on it — counts, id lists,
     enumeration) never mutate the index. [insert]/[delete] require
     exclusive access. A {!reader} makes the read half of that contract
     operational: queries run under one touch no shared state at all —
@@ -65,14 +65,14 @@ module type S = sig
 
   val query : t -> Vquery.t -> f:(Segment.t -> unit) -> unit
   (** Calls [f] exactly once per stored segment intersecting the
-      query. *)
-
-  val query_r : reader -> t -> Vquery.t -> f:(Segment.t -> unit) -> unit
-  (** [query] against an immutable-by-contract handle: runs under the
-      reader, charging I/O to {!reader_io} and leaving the shared pool,
-      the shared counter and all index state untouched. Safe to call
-      from several domains at once (one reader per domain) as long as
-      no writer runs. *)
+      query, by construction rather than by filtering: every segment
+      (or each piece of one) has a single owner for every abscissa,
+      with slab boundaries and base lines owned by one side. No
+      backend keeps a per-query table of reported ids. Run under
+      {!with_reader} it charges I/O to {!reader_io} and leaves the
+      shared pool, the shared counter and all index state untouched,
+      so several domains may query at once (one reader each) as long
+      as no writer runs. *)
 
   val iter_all : t -> f:(Segment.t -> unit) -> unit
   (** Calls [f] exactly once per stored segment, in unspecified order —

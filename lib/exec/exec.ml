@@ -170,7 +170,7 @@ let push_helper t job =
 (* ---------------- per-query execution ---------------- *)
 
 let ids_of_segs segs =
-  List.sort_uniq compare (List.map (fun (s : Segment.t) -> s.id) segs)
+  List.sort compare (List.map (fun (s : Segment.t) -> s.id) segs)
 
 (* One query through a reader. [degraded_ok] routes through
    [query_safe]: storage faults come back as strings instead of

@@ -44,7 +44,7 @@ let run (p : Harness.params) =
         let uq = Rng.float qrng (0.8 *. umax) in
         let v = Rng.float qrng (vspan -. w) in
         let seg_ans =
-          Pst.query_list pst (Lseg.query ~uq ~vlo:v ~vhi:(v +. w)) |> List.sort_uniq compare
+          Pst.query_list pst (Lseg.query ~uq ~vlo:v ~vhi:(v +. w)) |> List.sort compare
         in
         let pt_ans = T3.query_ids t3 ~x1:v ~x2:(v +. w) ~y:uq in
         let rec diff a b (b1, s1, p1) =

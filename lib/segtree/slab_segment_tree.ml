@@ -298,37 +298,17 @@ let descend t ~x ~ylo ~yhi ~k ~emit =
 let query t ~x ~ylo ~yhi ~f =
   if ylo > yhi then invalid_arg "Slab_segment_tree.query: ylo > yhi";
   Probe.span t.io "slab.query" @@ fun () ->
+  (* half-open gaps [b_k, b_(k+1)): x lies in gap (number of boundaries
+     <= x) - 1, so a fragment ending on b_k is not reported at b_k —
+     the caller owns that tie *)
   let boundaries = t.boundaries in
-  let nb = Array.length boundaries in
-  if nb >= 2 && x >= boundaries.(0) && x <= boundaries.(nb - 1) then begin
-    (* gap index: number of boundaries < x, minus 1; exact hits on an
-       interior boundary touch fragments on both sides *)
-    let cnt = ref 0 in
-    Array.iter (fun b -> if b < x then incr cnt) boundaries;
-    let on_boundary =
-      let lo = ref 0 and hi = ref (nb - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if boundaries.(mid) < x then lo := mid + 1 else hi := mid
-      done;
-      boundaries.(!lo) = x
-    in
-    let gap = if on_boundary then !cnt else !cnt - 1 in
-    let k_right = max 0 (min gap (nb - 2)) in
-    if on_boundary && !cnt > 0 && !cnt <= nb - 2 then begin
-      (* two paths; dedupe by id *)
-      let seen = Hashtbl.create 16 in
-      let emit (frag : Segment.t) =
-        if not (Hashtbl.mem seen frag.Segment.id) then begin
-          Hashtbl.add seen frag.Segment.id ();
-          f frag
-        end
-      in
-      descend t ~x ~ylo ~yhi ~k:(!cnt - 1) ~emit;
-      descend t ~x ~ylo ~yhi ~k:!cnt ~emit
-    end
-    else descend t ~x ~ylo ~yhi ~k:k_right ~emit:f
-  end
+  let lo = ref 0 and hi = ref (Array.length boundaries) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if boundaries.(mid) <= x then lo := mid + 1 else hi := mid
+  done;
+  let gap = !lo - 1 in
+  if gap >= 0 && gap <= Array.length boundaries - 2 then descend t ~x ~ylo ~yhi ~k:gap ~emit:f
 
 let query_list t ~x ~ylo ~yhi =
   let acc = ref [] in
@@ -391,35 +371,25 @@ let check_invariants t =
 
 (* ---------------- semi-dynamic insertion ---------------- *)
 
-let rec iter_unique_rec ?(skip = fun _ -> false) node seen f =
-  ignore skip;
-  iter_unique_core skip node seen f
-
-and iter_unique_core skip node seen f =
-  Plist.iter_forward node.list 0 (fun _ e ->
-      let id = e.frag.Segment.id in
-      if (not (Hashtbl.mem seen id)) && not (skip id) then begin
-        Hashtbl.add seen id ();
-        f e.frag
-      end;
-      `Continue);
-  (match node.overlay with
-  | Some ob ->
-      Obt.iter_range ob ~lo:None ~hi:None (fun (k : Okey.t) () ->
-          let id = k.seg.Segment.id in
-          if (not (Hashtbl.mem seen id)) && not (skip id) then begin
-            Hashtbl.add seen id ();
-            f k.seg
-          end)
-  | None -> ());
-  (match node.left with Some l -> iter_unique_core skip l seen f | None -> ());
-  match node.right with Some r -> iter_unique_core skip r seen f | None -> ()
-
 let iter_unique t f =
-  let skip id = Hashtbl.mem t.tombstones id in
-  match t.root with
-  | Some r -> iter_unique_rec ~skip r (Hashtbl.create 64) f
-  | None -> ()
+  let seen = Hashtbl.create 64 in
+  let visit (s : Segment.t) =
+    if not (Hashtbl.mem seen s.id || Hashtbl.mem t.tombstones s.id) then begin
+      Hashtbl.add seen s.id ();
+      f s
+    end
+  in
+  let rec go node =
+    Plist.iter_forward node.list 0 (fun _ e ->
+        visit e.frag;
+        `Continue);
+    (match node.overlay with
+    | Some ob -> Obt.iter_range ob ~lo:None ~hi:None (fun (k : Okey.t) () -> visit k.seg)
+    | None -> ());
+    Option.iter go node.left;
+    Option.iter go node.right
+  in
+  Option.iter go t.root
 
 let rec free_lists node =
   Plist.free node.list;

@@ -47,10 +47,12 @@ val build :
 
 val query : t -> x:float -> ylo:float -> yhi:float -> f:(Segment.t -> unit) -> unit
 (** Reports the stored fragments intersected by the vertical segment
-    [{x} × [ylo, yhi]]. When [x] falls strictly inside a gap each
-    fragment is reported exactly once; when [x] equals an interior
-    boundary, fragments touching it from both sides are reported and
-    de-duplicated by id. *)
+    [{x} × [ylo, yhi]], each exactly once. Gaps are half-open,
+    [[b_k, b_(k+1))]: a fragment spanning [[b_a, b_b]] is reported for
+    [b_a <= x < b_b], so one at its right end [x = b_b] is not, and
+    nothing is reported at or beyond the last boundary. The caller owns
+    the tie at a fragment's right end (Solution 2 reports it from the
+    segment's right part). *)
 
 val query_list : t -> x:float -> ylo:float -> yhi:float -> Segment.t list
 

@@ -1,7 +1,8 @@
 (* Core index tests: every backend must agree with the naive filter on
    every workload family and every query kind; structural invariants
-   hold after builds and after insertions; boundary-exact queries are
-   de-duplicated; I/O costs separate the indexes from the scan. *)
+   hold after builds and after insertions; boundary-exact queries report
+   each answer once (answers are compared as id multisets, so a double
+   report fails); I/O costs separate the indexes from the scan. *)
 
 open Segdb_io
 open Segdb_geom
