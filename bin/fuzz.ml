@@ -146,13 +146,14 @@ module Exec = Segdb_exec.Exec
 
 (* Parallel round: every backend answers a random query batch three
    times — serially, via [Exec.run] (the cooperative fan-out on the
-   default pool), and through [Exec.submit] on the default
-   pool (the server's admission path) — and the answers must be
-   identical, element by element. A second batch runs after a burst of
-   inserts and deletes so the cross-check also covers indexes reshaped
-   by mutation (rebuilt PSTs, split blocks). *)
+   run's pool), and through [Exec.submit] on the same pool (the
+   server's admission path) — and the answers must be identical,
+   element by element. Both go through the engine's one participant
+   loop. A second batch runs after a burst of inserts and deletes so
+   the cross-check also covers indexes reshaped by mutation (rebuilt
+   PSTs, split blocks). *)
 
-let run_parallel_round ~seed ~ops ~size ~domains round =
+let run_parallel_round ~pool ~seed ~ops ~size ~domains round =
   let seed = seed + (round * 31337) in
   let rng = Rng.create seed in
   let pool_segs =
@@ -202,7 +203,7 @@ let run_parallel_round ~seed ~ops ~size ~domains round =
       (fun (name, db) ->
         let serial = Array.map (Db.query_ids db) qs in
         let par =
-          match Exec.run (Exec.default ()) db (Exec.request ~degraded_ok:false qs) ~domains with
+          match Exec.run pool db (Exec.request qs) ~domains with
           | Exec.Ok out, _ -> out
           | o, _ ->
               fail "%s: %s cooperative batch returned %s" label name
@@ -216,7 +217,7 @@ let run_parallel_round ~seed ~ops ~size ~domains round =
                 (List.length serial.(i))
                 (Format.asprintf "%a" Vquery.pp qs.(i)))
           par;
-        let tk = Exec.submit (Exec.default ()) db (Exec.request qs) in
+        let tk = Exec.submit pool db (Exec.request qs) in
         (match Exec.await tk with
         | Exec.Ok out ->
             Array.iteri
@@ -1024,14 +1025,18 @@ let fuzz rounds ops seed size persist parallel crash net replica domains =
     0
   end
   else begin
+  (* one pool for the whole run; the main domain is the first participant *)
+  let pool = lazy (Exec.create ~workers:(domains - 1) ()) in
   for round = 1 to rounds do
     if replica then run_replica_round ~seed ~ops ~size round
     else if net then run_net_round ~seed ~ops ~size round
-    else if parallel then run_parallel_round ~seed ~ops ~size ~domains round
+    else if parallel then
+      run_parallel_round ~pool:(Lazy.force pool) ~seed ~ops ~size ~domains round
     else if persist then run_persist_round ~seed ~ops ~size round
     else run_round ~seed ~ops ~size round;
     if round mod 10 = 0 then Printf.printf "round %d/%d ok\n%!" round rounds
   done;
+  if Lazy.is_val pool then Exec.shutdown (Lazy.force pool);
   if replica then
     Printf.printf
       "fuzz: %d replica rounds (kill+promote / split-brain alternating) under socket \

@@ -269,15 +269,13 @@ let local_or_remote ~cmd ~connect ~file ~local ~remote =
   | Some addrs -> with_client addrs (fun c -> remote (Client.endpoint c) c)
   | None -> local (require_file cmd file)
 
-(* Answer a batch on the process-wide execution pool — the same engine
-   the network server submits frames to, so local and served batches
-   share scheduling, deadline and degraded-result semantics. Returns
-   the per-query results (partial after a deadline), the per-domain
+(* Answer a batch on an execution pool — the same engine the network
+   server submits frames to, so local and served batches share
+   scheduling, deadline and degraded-result semantics. Returns the
+   per-query results (partial after a deadline), the per-domain
    accounting, and an annotation for anything short of a complete
    answer. *)
-let exec_batch ?(deadline_ms = 0) db qs ~domains =
-  if domains > 1 then Exec.set_default_workers (domains - 1);
-  let pool = Exec.default () in
+let exec_batch ?(deadline_ms = 0) pool db qs ~domains =
   let readers = Array.init domains (fun _ -> Db.reader db) in
   let outcome, wstats =
     Exec.run ~readers pool db (Exec.request ~deadline_ms qs) ~domains
@@ -588,15 +586,18 @@ let dump_local_slowlog () =
 let batch_local file backend block pool domains deadline_ms qs verbose =
   let segs = Seg_file.load file in
   let db = Db.create ~backend ~block ~pool_blocks:pool segs in
+  (* the calling domain is the batch's first participant *)
+  let pool = Exec.create ~workers:(domains - 1) () in
+  Fun.protect ~finally:(fun () -> Exec.shutdown pool) @@ fun () ->
   let t0 = Unix.gettimeofday () in
-  let results, wstats, note = exec_batch ~deadline_ms db qs ~domains in
+  let results, wstats, note = exec_batch ~deadline_ms pool db qs ~domains in
   let dt = Unix.gettimeofday () -. t0 in
   print_results ~verbose qs results;
   let reads = Array.fold_left (fun acc (w : Exec.worker_stats) -> acc + w.reads) 0 wstats in
   let answered = Array.fold_left (fun acc (w : Exec.worker_stats) -> acc + w.queries) 0 wstats in
   Printf.printf "%d queries, %d domains (pool of %d): %.3fs (%.0f queries/sec, %d block reads)\n"
     (Array.length qs) domains
-    (Exec.size (Exec.default ()))
+    (Exec.size pool)
     dt
     (float_of_int answered /. Float.max dt 1e-9)
     reads;
@@ -739,9 +740,7 @@ let open_snapshot_exn snap wal print_ids x ylo yhi =
       let io = Db.io db in
       Io_stats.reset io;
       let r = Db.query_safe db q in
-      let ids =
-        List.sort compare (List.map (fun (s : Segment.t) -> s.Segment.id) r.Db.Degraded.value)
-      in
+      let ids = r.Db.Degraded.value in
       Printf.printf "%s -> %d segments%s (%s)\n"
         (Format.asprintf "%a" Vquery.pp q)
         (List.length ids)
@@ -848,30 +847,25 @@ let recover_cmd =
 
 (* ---------------- scrub / repair ---------------- *)
 
-let sniff_magic path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> try really_input_string ic 8 with End_of_file -> "")
-
 let scrub path wal queries =
   let findings = ref [] in
   let add src fs = List.iter (fun f -> findings := (src ^ ": " ^ f) :: !findings) fs in
-  (match sniff_magic path with
-  | "SEGFST01" ->
-      Printf.printf "%s: file store\n" path;
-      add path (File_store.Scrub.file path)
-  | "SEGDBSNP" -> (
-      Printf.printf "%s: snapshot\n" path;
-      let fs, _ = Snapshot.salvage ~path in
-      add path fs;
-      (* a pristine file opens; now check the index it holds. After any
-         finding, opening would only raise the first one again. *)
-      if fs = [] then
-        match Db.open_db path with
-        | db -> add path (Db.validate ~queries db)
-        | exception Segdb_core.Snapshot.Corrupt_snapshot m -> add path [ m ])
-  | other -> add path [ Printf.sprintf "unrecognized magic %S" other ]);
+  if File_store.is_store path then begin
+    Printf.printf "%s: file store\n" path;
+    add path (File_store.Scrub.file path)
+  end
+  else if Snapshot.is_snapshot path then begin
+    Printf.printf "%s: snapshot\n" path;
+    let fs, _ = Snapshot.salvage ~path in
+    add path fs;
+    (* a pristine file opens; now check the index it holds. After any
+       finding, opening would only raise the first one again. *)
+    if fs = [] then
+      match Db.open_db path with
+      | db -> add path (Db.validate ~queries db)
+      | exception Segdb_core.Snapshot.Corrupt_snapshot m -> add path [ m ]
+  end
+  else add path [ "unrecognized magic: neither a snapshot nor a file store" ];
   (match wal with
   | None -> ()
   | Some log ->

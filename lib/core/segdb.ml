@@ -212,11 +212,16 @@ module Degraded = struct
         t.faults
 end
 
+(* Every query variant below reaches the index through [query_iter],
+   so each fires the [segdb.query] failpoint and opens the root span
+   once. *)
+let ids_into t q acc = query_iter t q ~f:(fun (s : Segment.t) -> acc := s.id :: !acc)
+
 let query_safe t q =
   let acc = ref [] in
-  let finish () = List.rev !acc in
+  let finish () = List.sort compare !acc in
   try
-    query_iter t q ~f:(fun s -> acc := s :: !acc);
+    ids_into t q acc;
     Degraded.ok (finish ())
   with
   | File_store.Corrupt_store m -> Degraded.partial (finish ()) [ m ]
@@ -226,9 +231,9 @@ let query_safe t q =
         [ Printf.sprintf "%s: %s" op (Unix.error_message e) ]
 
 let query_ids t q =
-  fire_query ();
-  let (Pack ((module M), v, _)) = t.pack in
-  Vs_index.query_ids (module M) v q
+  let acc = ref [] in
+  ids_into t q acc;
+  List.sort compare !acc
 
 let count t q =
   let n = ref 0 in
@@ -249,18 +254,8 @@ let reader_io = Vs_index.reader_io
 
 let with_reader = Vs_index.with_reader
 
-let query_ids_r t r q =
-  let (Pack ((module M), v, _)) = t.pack in
-  Vs_index.query_ids_r (module M) r v q
-
-let query_iter_r t r q ~f =
-  let (Pack ((module M), v, _)) = t.pack in
-  Vs_index.with_reader r (fun () -> M.query v q ~f)
-
-let count_r t r q =
-  let n = ref 0 in
-  query_iter_r t r q ~f:(fun _ -> incr n);
-  !n
+let query_ids_r t r q = with_reader r (fun () -> query_ids t q)
+let count_r t r q = with_reader r (fun () -> count t q)
 
 let segments t =
   let acc = ref [] in

@@ -87,8 +87,8 @@ module Degraded : sig
   val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit
 end
 
-val query_safe : t -> Vquery.t -> Segment.t list Degraded.t
-(** {!query}, catching storage faults ([File_store.Corrupt_store],
+val query_safe : t -> Vquery.t -> int list Degraded.t
+(** {!query_ids}, catching storage faults ([File_store.Corrupt_store],
     undecodable blocks, [Unix] errors that survived the retry policy)
     into a {!Degraded.t} instead of raising. Injected crashes
     ([Failpoint.Injected_crash]) still propagate — they model process
@@ -138,9 +138,8 @@ val query_ids_r : t -> reader -> Vquery.t -> int list
 (** {!query_ids} through a reader: identical answer, I/O charged to the
     reader, shared state untouched. *)
 
-val query_iter_r : t -> reader -> Vquery.t -> f:(Segment.t -> unit) -> unit
-
 val count_r : t -> reader -> Vquery.t -> int
+(** {!count} through a reader. *)
 
 val backend : t -> backend
 val backend_name : t -> string

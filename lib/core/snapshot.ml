@@ -7,6 +7,13 @@ let version = 1
 let sp_write = Failpoint.site "snapshot.write"
 let tag_segments = 1
 
+let is_snapshot path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      try really_input_string ic (String.length magic) = magic with End_of_file -> false)
+
 type header = {
   backend : string;
   block : int;

@@ -36,6 +36,11 @@ type header = {
 
 type contents = { header : header; segments : Segdb_geom.Segment.t array }
 
+val is_snapshot : string -> bool
+(** Whether the file at this path starts with the snapshot magic — how
+    a caller tells a snapshot from a segment file or a store file
+    before opening it. [Sys_error] propagates. *)
+
 val write : path:string -> header -> segments:Segdb_geom.Segment.t array -> unit
 
 val read : path:string -> contents

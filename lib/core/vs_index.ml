@@ -47,6 +47,3 @@ let query_ids (type a) (module M : S with type t = a) (t : a) q =
   let acc = ref [] in
   M.query t q ~f:(fun s -> acc := s.Segment.id :: !acc);
   List.sort compare !acc
-
-let query_ids_r (type a) (module M : S with type t = a) r (t : a) q =
-  with_reader r (fun () -> query_ids (module M) t q)

@@ -86,7 +86,3 @@ end
 
 val query_ids : (module S with type t = 'a) -> 'a -> Vquery.t -> int list
 (** Sorted ids of the answer — the comparison form used by tests. *)
-
-val query_ids_r :
-  (module S with type t = 'a) -> reader -> 'a -> Vquery.t -> int list
-(** {!query_ids} through a reader. *)

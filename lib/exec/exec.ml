@@ -10,12 +10,11 @@ module Obs = Segdb_obs
 type request = {
   rq_queries : Vquery.t array;
   rq_deadline_ns : int; (* absolute, 0 = none; clock starts at construction *)
-  rq_degraded_ok : bool;
   rq_trace : bool;
   rq_id : int; (* request id carried into trace spans; never 0 *)
 }
 
-let request ?(deadline_ms = 0) ?(degraded_ok = true) ?(trace = false) ?request_id queries =
+let request ?(deadline_ms = 0) ?(trace = false) ?request_id queries =
   let deadline_ns =
     if deadline_ms > 0 then Obs.Trace.now_ns () + (deadline_ms * 1_000_000) else 0
   in
@@ -27,7 +26,6 @@ let request ?(deadline_ms = 0) ?(degraded_ok = true) ?(trace = false) ?request_i
   {
     rq_queries = queries;
     rq_deadline_ns = deadline_ns;
-    rq_degraded_ok = degraded_ok;
     rq_trace = trace;
     rq_id;
   }
@@ -167,32 +165,40 @@ let push_helper t job =
   Condition.signal t.c;
   Mutex.unlock t.m
 
-(* ---------------- per-query execution ---------------- *)
+(* ---------------- the participant loop ---------------- *)
 
-let ids_of_segs segs =
-  List.sort compare (List.map (fun (s : Segment.t) -> s.id) segs)
+(* One query under the participant's installed reader: its sorted ids
+   and the storage faults [query_safe] caught, timed into [lat] when
+   observability is on. *)
+let query_one lat db q =
+  match lat with
+  | None -> Db.query_safe db q
+  | Some hist ->
+      let t0 = Obs.Trace.now_ns () in
+      let d = Db.query_safe db q in
+      Obs.Histogram.record hist (Obs.Trace.now_ns () - t0);
+      d
 
-(* One query through a reader. [degraded_ok] routes through
-   [query_safe]: storage faults come back as strings instead of
-   raising ([Injected_crash] still propagates — process death). *)
-let query_one ~degraded_ok db r q =
-  if degraded_ok then begin
-    let d = Db.with_reader r (fun () -> Db.query_safe db q) in
-    (ids_of_segs d.Db.Degraded.value, d.Db.Degraded.faults)
-  end
-  else (Db.query_ids_r db r q, [])
+type stop_reason =
+  | R_crash of exn * Printexc.raw_backtrace
+  | R_fault of string
+  | R_deadline
+  | R_cancel
 
-(* ---------------- cooperative fan-out ---------------- *)
+(* Deadline and cancel outcomes bump the pool's counters, whichever
+   entry point produced them. *)
+let tally pool = function
+  | Deadline_exceeded _ -> if Obs.Control.enabled () then Obs.Metrics.incr pool.c_deadline
+  | Cancelled _ -> if Obs.Control.enabled () then Obs.Metrics.incr pool.c_cancelled
+  | Ok _ | Degraded _ | Overloaded -> ()
 
-type stop_reason = R_fault of exn * Printexc.raw_backtrace | R_deadline | R_cancel
-
-(* The fan-out behind [run].
+(* The one loop that answers queries, behind both [run] and [submit].
 
    Shape: the caller is participant 0-or-later (slots are claimed with
    a fetch-and-add, first come first slotted); up to [domains - 1]
    helper jobs are enqueued on the pool. Everyone pulls query indexes
-   off one shared cursor until it runs dry or a stop reason (fault,
-   deadline, cancel) is posted.
+   off one shared cursor until it runs dry or a stop reason (crash,
+   fault, deadline, cancel) is posted.
 
    Termination protocol: a participant increments [running] and only
    then checks [closed]; the caller sets [closed] after its own loop
@@ -200,7 +206,8 @@ type stop_reason = R_fault of exn * Printexc.raw_backtrace | R_deadline | R_canc
    [closed] (the pool was busy; the batch is already done) sees the
    flag and exits without touching the arrays, so stale helpers are
    harmless no-ops. *)
-let run_batch pool ?readers ?flag ~request_id ~deadline_ns ~degraded_ok db qs ~domains =
+let run_batch pool ?readers ?flag db req ~domains =
+  let request_id = req.rq_id and qs = req.rq_queries in
   let n = Array.length qs in
   let out = Array.make n [] in
   let stats =
@@ -223,7 +230,7 @@ let run_batch pool ?readers ?flag ~request_id ~deadline_ns ~degraded_ok db qs ~d
       Atomic.incr running;
       if not (Atomic.get closed) then begin
         let r = match readers with Some rs -> rs.(k) | None -> Db.reader db in
-        let h = Cancel.create ~deadline_ns ~flag () in
+        let h = Cancel.create ~deadline_ns:req.rq_deadline_ns ~flag () in
         let lat = if Obs.Control.enabled () then Some (Obs.Histogram.create ()) else None in
         let served = ref 0 in
         let h0 = Read_context.cache_hits r and m0 = Read_context.cache_misses r in
@@ -239,38 +246,32 @@ let run_batch pool ?readers ?flag ~request_id ~deadline_ns ~degraded_ok db qs ~d
                  participant has answered something, so a tight budget
                  degrades to a partial batch, never an empty one *)
               Cancel.set_deadline_enabled h (not first);
-              let ids, faults =
-                match lat with
-                | Some hist ->
-                    let t0 = Obs.Trace.now_ns () in
-                    let res = query_one ~degraded_ok db r qs.(i) in
-                    Obs.Histogram.record hist (Obs.Trace.now_ns () - t0);
-                    res
-                | None -> query_one ~degraded_ok db r qs.(i)
-              in
-              out.(i) <- ids;
-              if faults <> [] then pfaults.(k) <- List.rev_append faults pfaults.(k);
+              let d = query_one lat db qs.(i) in
+              out.(i) <- d.Db.Degraded.value;
+              if d.Db.Degraded.faults <> [] then
+                pfaults.(k) <- List.rev_append d.Db.Degraded.faults pfaults.(k);
               incr served;
               loop false
             end
           end
         in
-        (* the handle is installed once for the whole batch — per-query
-           install cost (DLS save/restore, the process-wide counter)
-           would dominate cheap queries *)
-        let install () =
-          (* attribute this participant's spans to the request; helpers
-             run on pool domains whose DLS id would otherwise be stale *)
-          if Obs.Control.enabled () then
-            Obs.Trace.with_request_id request_id (fun () ->
-                Cancel.install h (fun () -> loop true))
-          else Cancel.install h (fun () -> loop true)
-        in
-        (match install () with
+        (* the reader and the handle are installed once for the whole
+           batch — per-query install cost (DLS save/restore, the
+           process-wide counter) would dominate cheap queries *)
+        let body () = Db.with_reader r (fun () -> Cancel.install h (fun () -> loop true)) in
+        (match
+           (* attribute this participant's spans to the request; helpers
+              run on pool domains whose DLS id would otherwise be stale *)
+           if Obs.Control.enabled () then Obs.Trace.with_request_id request_id body
+           else body ()
+         with
         | () -> ()
         | exception Cancel.Cancelled Cancel.Deadline -> post R_deadline
         | exception Cancel.Cancelled Cancel.Explicit -> post R_cancel
-        | exception e -> post (R_fault (e, Printexc.get_raw_backtrace ())));
+        | exception (Segdb_io.Failpoint.Injected_crash _ as e) ->
+            (* models process death: re-raised, never served *)
+            post (R_crash (e, Printexc.get_raw_backtrace ()))
+        | exception e -> post (R_fault (Printexc.to_string e)));
         (* folded once per participant — a per-query RMW on a shared
            counter is measurable against cheap queries *)
         ignore (Atomic.fetch_and_add completed !served);
@@ -290,49 +291,54 @@ let run_batch pool ?readers ?flag ~request_id ~deadline_ns ~degraded_ok db qs ~d
       Atomic.decr running
     end
   in
-  if not inline then
-    for _ = 1 to min (domains - 1) pool.size do
-      push_helper pool participant
-    done;
-  participant ();
-  Atomic.set closed true;
-  while Atomic.get running > 0 do
-    Domain.cpu_relax ()
-  done;
-  let faults =
-    Array.fold_left (fun acc l -> acc @ List.rev l) [] pfaults
+  let exec () =
+    if not inline then
+      for _ = 1 to min (domains - 1) pool.size do
+        push_helper pool participant
+      done;
+    participant ();
+    Atomic.set closed true;
+    while Atomic.get running > 0 do
+      Domain.cpu_relax ()
+    done
   in
+  let traced () = if req.rq_trace then Obs.Trace.with_span "exec.batch" exec else exec () in
+  (* the caller participates, so its own spans need the id too *)
+  if Obs.Control.enabled () then Obs.Trace.with_request_id request_id traced
+  else traced ();
+  let faults = Array.fold_left (fun acc l -> acc @ List.rev l) [] pfaults in
   let outcome =
     match Atomic.get stop with
-    | Some (R_fault (e, bt)) -> Printexc.raise_with_backtrace e bt
+    | Some (R_crash (e, bt)) -> Printexc.raise_with_backtrace e bt
+    | Some (R_fault m) -> Degraded (out, faults @ [ m ])
     | Some R_deadline ->
-        if Obs.Control.enabled () then Obs.Metrics.incr pool.c_deadline;
         Deadline_exceeded { partial = out; completed = Atomic.get completed }
-    | Some R_cancel ->
-        if Obs.Control.enabled () then Obs.Metrics.incr pool.c_cancelled;
-        Cancelled { partial = out; completed = Atomic.get completed }
+    | Some R_cancel -> Cancelled { partial = out; completed = Atomic.get completed }
     | None -> if faults = [] then Ok out else Degraded (out, faults)
   in
   (outcome, stats)
 
-(* One slow-query record. [mk] is only called past the threshold, so
-   the query rendering never runs on the fast path. *)
-let slowlog_entry ~request_id ~wall_ns ~queue_wait_ns ~blocks ~cache_hits ~cache_misses req
-    outcome =
-  {
-    Obs.Slowlog.request_id;
-    query =
-      (if Array.length req.rq_queries = 0 then "-"
-       else Format.asprintf "%a" Vquery.pp req.rq_queries.(0));
-    queries = Array.length req.rq_queries;
-    outcome = outcome_name outcome;
-    wall_ns;
-    queue_wait_ns;
-    blocks;
-    cache_hits;
-    cache_misses;
-    at_ns = Obs.Trace.now_ns ();
-  }
+(* One slow-query record, timed from [t0_ns]. The record is only built
+   past the threshold, so the query rendering never runs on the fast
+   path. *)
+let note_slow req ~t0_ns ~queue_wait_ns outcome stats =
+  let wall_ns = Obs.Trace.now_ns () - t0_ns in
+  Obs.Slowlog.note ~wall_ns (fun () ->
+      let sum f = Array.fold_left (fun a (s : worker_stats) -> a + f s) 0 stats in
+      {
+        Obs.Slowlog.request_id = req.rq_id;
+        query =
+          (if Array.length req.rq_queries = 0 then "-"
+           else Format.asprintf "%a" Vquery.pp req.rq_queries.(0));
+        queries = Array.length req.rq_queries;
+        outcome = outcome_name outcome;
+        wall_ns;
+        queue_wait_ns;
+        blocks = sum (fun s -> s.reads);
+        cache_hits = sum (fun s -> s.cache_hits);
+        cache_misses = sum (fun s -> s.cache_misses);
+        at_ns = Obs.Trace.now_ns ();
+      })
 
 let run ?readers ?cancel pool db req ~domains =
   if domains < 1 then invalid_arg "Exec.run: domains must be >= 1";
@@ -340,31 +346,11 @@ let run ?readers ?cancel pool db req ~domains =
   | Some rs when Array.length rs <> domains ->
       invalid_arg "Exec.run: readers array must have one reader per domain"
   | _ -> ());
-  let exec () =
-    run_batch pool ?readers ?flag:cancel ~request_id:req.rq_id
-      ~deadline_ns:req.rq_deadline_ns ~degraded_ok:req.rq_degraded_ok db req.rq_queries
-      ~domains
-  in
-  let traced () = if req.rq_trace then Obs.Trace.with_span "exec.batch" exec else exec () in
   let slow = Obs.Slowlog.enabled () in
-  let t0 = if slow then Obs.Trace.now_ns () else 0 in
-  let ((outcome, stats) as res) =
-    (* the caller participates, so its own spans need the id too *)
-    if Obs.Control.enabled () then
-      Obs.Trace.with_request_id req.rq_id traced
-    else traced ()
-  in
-  if slow then
-    Obs.Slowlog.note ~wall_ns:(Obs.Trace.now_ns () - t0) (fun () ->
-        let blocks = Array.fold_left (fun a (s : worker_stats) -> a + s.reads) 0 stats in
-        let hits =
-          Array.fold_left (fun a (s : worker_stats) -> a + s.cache_hits) 0 stats
-        in
-        let misses =
-          Array.fold_left (fun a (s : worker_stats) -> a + s.cache_misses) 0 stats
-        in
-        slowlog_entry ~request_id:req.rq_id ~wall_ns:(Obs.Trace.now_ns () - t0)
-          ~queue_wait_ns:0 ~blocks ~cache_hits:hits ~cache_misses:misses req outcome);
+  let t0_ns = if slow then Obs.Trace.now_ns () else 0 in
+  let ((outcome, stats) as res) = run_batch pool ?readers ?flag:cancel db req ~domains in
+  tally pool outcome;
+  if slow then note_slow req ~t0_ns ~queue_wait_ns:0 outcome stats;
   res
 
 (* ---------------- submitted execution ---------------- *)
@@ -396,14 +382,10 @@ let finish tk outcome =
         Obs.Log.info ~comp:"exec" "request cancelled" (fun () ->
             [ Obs.Log.i "request_id" tk.tk_req.rq_id; Obs.Log.i "completed" completed ])
   | Ok _ | Degraded _ | Overloaded -> ());
-  if Obs.Control.enabled () then begin
-    (match outcome with
-    | Deadline_exceeded _ -> Obs.Metrics.incr tk.tk_pool.c_deadline
-    | Cancelled _ -> Obs.Metrics.incr tk.tk_pool.c_cancelled
-    | Ok _ | Degraded _ | Overloaded -> ());
+  tally tk.tk_pool outcome;
+  if Obs.Control.enabled () then
     Obs.Metrics.observe Obs.Metrics.default "exec.request.ns"
-      (Obs.Trace.now_ns () - tk.tk_submitted_ns)
-  end;
+      (Obs.Trace.now_ns () - tk.tk_submitted_ns);
   Mutex.lock tk.tk_m;
   tk.tk_outcome <- Some outcome;
   Condition.broadcast tk.tk_c;
@@ -431,9 +413,11 @@ let cached_reader ?cache_blocks db =
       slot := (key, gen, r) :: List.filter (fun (k, _, _) -> k != key) !slot;
       r
 
-(* Runs on a worker domain. Single-threaded over the batch, in order;
-   the same first-query immunity and cancellation points as the
-   cooperative path. *)
+(* Runs on a worker domain: the batch goes through [run_batch] with
+   one participant — this domain — and the worker's cached reader. A
+   request cancelled or expired while queued is refused unexecuted: the
+   first-query immunity only protects requests that reached a worker in
+   time. *)
 let execute tk ?cache_blocks db =
   tk.tk_served_by <- (Domain.self () :> int);
   let req = tk.tk_req in
@@ -448,76 +432,23 @@ let execute tk ?cache_blocks db =
     Obs.Trace.record ~request_id:req.rq_id ~t0_ns:tk.tk_submitted_ns ~dur_ns:wait
       "exec.queue_wait"
   end;
-  let qs = req.rq_queries in
-  let n = Array.length qs in
-  let out = Array.make n [] in
-  let faults = ref [] in
-  let completed = ref 0 in
-  let blocks = ref 0 and hits = ref 0 and misses = ref 0 in
-  let h = Cancel.create ~deadline_ns:req.rq_deadline_ns ~flag:tk.tk_flag () in
-  let reason = ref `None in
-  if Cancel.cancelled h then reason := `Cancel
-  else if Cancel.expired h then
-    (* expired while queued: refuse to start — the immunity rule only
-       protects requests that reached a worker in time *)
-    reason := `Deadline
-  else begin
-    let r = cached_reader ?cache_blocks db in
-    let r0 = if slow then Io_stats.reads (Db.reader_io r) else 0 in
-    let h0 = if slow then Read_context.cache_hits r else 0 in
-    let m0 = if slow then Read_context.cache_misses r else 0 in
-    let i = ref 0 in
-    (* installed once for the whole batch, same as the cooperative path *)
-    let body () =
-      Cancel.install h (fun () ->
-          while !reason = `None && !i < n do
-            if Cancel.cancelled h then reason := `Cancel
-            else if !completed > 0 && Cancel.expired h then reason := `Deadline
-            else begin
-              Cancel.set_deadline_enabled h (!completed > 0);
-              (match query_one ~degraded_ok:req.rq_degraded_ok db r qs.(!i) with
-              | ids, fs ->
-                  out.(!i) <- ids;
-                  if fs <> [] then faults := List.rev_append fs !faults;
-                  incr completed
-              | exception Cancel.Cancelled Cancel.Deadline -> reason := `Deadline
-              | exception Cancel.Cancelled Cancel.Explicit -> reason := `Cancel
-              | exception (Segdb_io.Failpoint.Injected_crash _ as e) ->
-                  raise e (* models process death: kill this worker *)
-              | exception e -> reason := `Fault (Printexc.to_string e));
-              incr i
-            end
-          done)
-    in
-    let traced () =
-      if req.rq_trace && obs then Obs.Trace.with_span "exec.batch" body else body ()
-    in
-    (* attribute the worker's storage spans to the request *)
-    if obs then Obs.Trace.with_request_id req.rq_id traced else traced ();
-    if slow then begin
-      blocks := Io_stats.reads (Db.reader_io r) - r0;
-      hits := Read_context.cache_hits r - h0;
-      misses := Read_context.cache_misses r - m0
-    end
-  end;
-  let outcome =
-    match !reason with
-    | `None ->
-        let fs = List.rev !faults in
-        if fs = [] then Ok out else Degraded (out, fs)
-    | `Deadline -> Deadline_exceeded { partial = out; completed = !completed }
-    | `Cancel -> Cancelled { partial = out; completed = !completed }
-    | `Fault m -> Degraded (out, List.rev (m :: !faults))
+  let unstarted () = Array.make (Array.length req.rq_queries) [] in
+  let outcome, stats =
+    if Atomic.get tk.tk_flag then
+      (Cancelled { partial = unstarted (); completed = 0 }, [||])
+    else if req.rq_deadline_ns > 0 && Obs.Trace.now_ns () > req.rq_deadline_ns then
+      (Deadline_exceeded { partial = unstarted (); completed = 0 }, [||])
+    else
+      run_batch tk.tk_pool ~readers:[| cached_reader ?cache_blocks db |] ~flag:tk.tk_flag db
+        req ~domains:1
   in
   if obs then
     Obs.Metrics.observe Obs.Metrics.default "exec.service.ns"
       (Obs.Trace.now_ns () - pickup_ns);
   if slow then
-    Obs.Slowlog.note ~wall_ns:(Obs.Trace.now_ns () - tk.tk_submitted_ns) (fun () ->
-        slowlog_entry ~request_id:req.rq_id
-          ~wall_ns:(Obs.Trace.now_ns () - tk.tk_submitted_ns)
-          ~queue_wait_ns:(max 0 (pickup_ns - tk.tk_submitted_ns))
-          ~blocks:!blocks ~cache_hits:!hits ~cache_misses:!misses req outcome);
+    note_slow req ~t0_ns:tk.tk_submitted_ns
+      ~queue_wait_ns:(max 0 (pickup_ns - tk.tk_submitted_ns))
+      outcome stats;
   finish tk outcome
 
 let submit ?cache_blocks ?on_complete pool db req =
@@ -581,37 +512,3 @@ let peek tk =
 
 let cancel tk = Atomic.set tk.tk_flag true
 let served_by tk = tk.tk_served_by
-
-(* ---------------- the process-default pool ---------------- *)
-
-let default_workers_override =
-  ref
-    (match Sys.getenv_opt "SEGDB_EXEC_WORKERS" with
-    | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> Some n | _ -> None)
-    | None -> None)
-
-let default_pool : t option ref = ref None
-let default_m = Mutex.create ()
-
-let set_default_workers n =
-  Mutex.lock default_m;
-  if !default_pool = None && n > 0 then default_workers_override := Some n;
-  Mutex.unlock default_m
-
-let default () =
-  Mutex.lock default_m;
-  let p =
-    match !default_pool with
-    | Some p -> p
-    | None ->
-        let workers =
-          match !default_workers_override with
-          | Some n -> n
-          | None -> max 1 (Domain.recommended_domain_count () - 1)
-        in
-        let p = create ~workers () in
-        default_pool := Some p;
-        p
-  in
-  Mutex.unlock default_m;
-  p

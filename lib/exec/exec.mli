@@ -6,12 +6,14 @@ module Db = Segdb_core.Segdb
     [Exec] owns query execution end-to-end. A {!t} is a persistent pool
     of worker domains — spawned once, reused for every batch — fed by a
     bounded job queue. Work arrives as a typed {!request} (query batch,
-    absolute deadline, degraded-result tolerance) and leaves as a typed
-    {!outcome}; deadlines and explicit cancellation propagate into the
+    absolute deadline, tracing) and leaves as a typed {!outcome};
+    deadlines and explicit cancellation propagate into the
     storage layer through [Segdb_io.Cancel], so an abandoned request
     stops at the next block fetch instead of scanning to completion.
 
-    Two ways in:
+    Two ways in, one loop: both entry points answer queries through
+    the same participant loop, with the same deadline, cancellation
+    and fault policy.
 
     - {!run} — cooperative fan-out for a caller that wants the batch
       answered {e now}: the calling domain participates, idle pool
@@ -20,9 +22,17 @@ module Db = Segdb_core.Segdb
       domains: [Segdb] answers queries one at a time through a reader
       and spawns none.
     - {!submit} / {!await} — admission-controlled asynchronous
-      execution for servers: the request is queued for a single worker,
-      refused with {!Overloaded} when the queue is full, and completed
-      through a callback on the worker domain.
+      execution for servers: the request is queued, refused with
+      {!Overloaded} when the queue is full, and run by one worker as a
+      one-participant batch, then completed through a callback on the
+      worker domain.
+
+    Fault policy, shared by both: storage faults (corrupt pages,
+    undecodable blocks, I/O errors that survived the retry policy) are
+    collected per query and come back as {!Degraded}; any other
+    exception ends the batch, and its message joins the faults of a
+    {!Degraded} outcome; injected crashes ([Failpoint.Injected_crash])
+    propagate — they model process death, not a servable fault.
 
     Pool metrics land in [Segdb_obs.Metrics.default] when observability
     is on: [exec.queue_depth] (gauge), [exec.request.ns] (histogram
@@ -41,12 +51,7 @@ type request
     Immutable; a request may be run or submitted more than once. *)
 
 val request :
-  ?deadline_ms:int ->
-  ?degraded_ok:bool ->
-  ?trace:bool ->
-  ?request_id:int ->
-  Vquery.t array ->
-  request
+  ?deadline_ms:int -> ?trace:bool -> ?request_id:int -> Vquery.t array -> request
 (** [request qs] describes executing the batch [qs].
 
     - [deadline_ms]: budget from {e now} (the clock starts at
@@ -57,12 +62,6 @@ val request :
       arms only after one answer exists, so a tight deadline yields a
       partial result rather than an empty one, and only a request that
       expired while still queued reports zero completions.
-    - [degraded_ok] (default [true]): storage faults (corrupt pages,
-      undecodable blocks) are collected per query and reported through
-      {!Degraded} rather than raised; [false] re-raises the first
-      fault to the caller of {!run}. Injected crashes
-      ([Failpoint.Injected_crash]) always propagate — they model
-      process death, not a servable fault.
     - [trace] (default [false]): wrap execution in a
       [Segdb_obs.Trace] span (["exec.batch"]) when observability is
       enabled.
@@ -84,8 +83,10 @@ type outcome =
   | Ok of int list array
       (** Element [i] holds the sorted matching ids for query [i]. *)
   | Degraded of int list array * string list
-      (** Every query ran, but some hit storage faults: the answers
-          cover what survived, and the faults say what did not. *)
+      (** Some queries hit faults: the answers cover what survived,
+          and the faults say what did not. Storage faults cost only
+          their own query; any other exception also ends the batch,
+          leaving unanswered slots [[]]. *)
   | Deadline_exceeded of { partial : int list array; completed : int }
       (** The deadline cut execution short after [completed] queries
           (in cursor order for {!run}, batch order for {!submit});
@@ -169,9 +170,9 @@ val run :
     [Db.query_ids db (queries req).(i)]. No writer may run
     concurrently.
 
-    [run (default ()) db (request ~degraded_ok:false qs) ~domains] is
-    the plain batch call: no deadline, no cancellation, faults
-    re-raised, so only [Ok] comes back.
+    [run pool db (request qs) ~domains] is the plain batch call: no
+    deadline and no cancellation, so only [Ok] or [Degraded] comes
+    back.
 
     [readers], when given, must have one reader per [domains] slot
     (slot [k] is used by participant [k]; slots no helper reached stay
@@ -187,8 +188,9 @@ val run :
     the cursor.
 
     Raises [Invalid_argument] on [domains < 1] or a mis-sized
-    [readers]; re-raises worker exceptions when the request has
-    [degraded_ok = false]. *)
+    [readers], and re-raises [Failpoint.Injected_crash]. Any other
+    exception a participant hits ends the batch as {!Degraded}, as it
+    does for {!submit}. *)
 
 (** {1 Submitted execution} *)
 
@@ -199,14 +201,16 @@ val submit :
   ?cache_blocks:int -> ?on_complete:(outcome -> unit) -> t -> Db.t -> request -> ticket
 (** Queues the request for a single worker domain, or refuses it when
     [queue_depth] requests are already waiting (the ticket is then
-    already complete with {!Overloaded}). [on_complete] fires exactly
-    once, on the worker domain (or the submitting domain for an
-    admission refusal), after the outcome is recorded — a server's
-    chance to write the response without a coordination hop. Workers
-    keep one cached reader per database they have served (keyed by
-    physical identity, sized by [cache_blocks] at first use), so a
-    request stream against one database keeps its LRU shard warm
-    across requests. *)
+    already complete with {!Overloaded}). The worker answers it as
+    {!run} with [~domains:1] and its cached reader would, except that
+    a request cancelled or expired while queued completes unexecuted
+    ([completed = 0]). [on_complete] fires exactly once, on the worker
+    domain (or the submitting domain for an admission refusal), after
+    the outcome is recorded — a server's chance to write the response
+    without a coordination hop. Workers keep one cached reader per
+    database they have served (keyed by physical identity, sized by
+    [cache_blocks] at first use), so a request stream against one
+    database keeps its LRU shard warm across requests. *)
 
 val await : ticket -> outcome
 (** Blocks until the outcome is recorded; returns immediately on an
@@ -224,20 +228,3 @@ val served_by : ticket -> int
 (** Domain id ([Domain.self]) of the worker that executed the request,
     [-1] until one picks it up. Stable across batches on a one-worker
     pool — the test hook for pool persistence. *)
-
-(** {1 The process-default pool} *)
-
-val default : unit -> t
-(** The lazily-created process-wide pool that batch callers pass to
-    {!run}. Sized on first use from
-    [Domain.recommended_domain_count ()] (minus one for the calling
-    domain, minimum 1), or from the [SEGDB_EXEC_WORKERS] environment
-    variable, or from {!set_default_workers} — whichever bound it last
-    before creation. Never shut down explicitly; its parked domains
-    die with the process. *)
-
-val set_default_workers : int -> unit
-(** Overrides the default pool's size. Takes effect only before the
-    pool exists (the first call to {!default}); later calls are
-    ignored. *)
-

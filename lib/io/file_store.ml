@@ -4,6 +4,13 @@ let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt_store m)) fmt
 
 let magic = "SEGFST01"
 
+let is_store path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      try really_input_string ic (String.length magic) = magic with End_of_file -> false)
+
 (* Version 2 added the per-page payload CRC to the header. Version 1
    images carry no page checksums, so reading them with this build
    would defeat the corruption guarantees — they are rejected with a

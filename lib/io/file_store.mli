@@ -36,6 +36,10 @@ exception Corrupt_store of string
     superblock CRC or page chain — and by {!Make.read} when a fetched
     page fails its CRC or header sanity checks. *)
 
+val is_store : string -> bool
+(** Whether the file at this path starts with the store's superblock
+    magic. [Sys_error] propagates. *)
+
 (** Offline integrity check of a store file, without its codec.
 
     Verifies the superblock, every page's header sanity and CRC

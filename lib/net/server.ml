@@ -791,12 +791,6 @@ let wait t =
 
 (* ---------------- db loading ---------------- *)
 
-let sniff_magic path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> try really_input_string ic 8 with End_of_file -> "")
-
 let open_or_build ?(backend = `Solution2) ?(block = 64) path =
-  if sniff_magic path = "SEGDBSNP" then Db.open_db path
+  if Segdb_core.Snapshot.is_snapshot path then Db.open_db path
   else Db.create ~backend ~block (Seg_file.load path)

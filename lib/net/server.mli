@@ -8,9 +8,11 @@
     same execution engine behind the CLI's batches and [fuzz --parallel].
     The server owns {e no} worker domains, request queue, or deadline
     bookkeeping of its own: admission control, per-worker readers,
-    deadline propagation and cancellation all live in the engine; the
-    completion callback writes the response from whichever worker
-    domain served the request.
+    deadline propagation, cancellation and the fault policy (storage
+    faults degrade an answer, they never kill a connection) all live in
+    the engine, whose worker answers each request through the same
+    participant loop as [Exec.run]; the completion callback writes the
+    response from whichever worker domain served the request.
 
     Backpressure is explicit: when the engine's queue is full the
     request is answered [Error Overloaded] immediately instead of

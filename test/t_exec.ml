@@ -69,6 +69,50 @@ let test_run_matches_serial () =
             [ 1; 2; 4 ])
         Db.all_backends)
 
+(* ---------------- fault policy ---------------- *)
+
+(* A storage fault costs its own query and nothing more, whichever way
+   the batch comes in: with [segdb.query] armed to fail once with EIO,
+   [run] at one and two domains and [submit] each return [Degraded]
+   with one fault, the faulted slot is empty and every other answer is
+   the serial one. *)
+let test_degraded_from_both_entry_points () =
+  let rng = Rng.create 29 in
+  let segs = W.roads (Rng.split rng) ~n:300 ~span:100.0 in
+  let db = Db.create ~backend:`Solution2 ~block:8 ~pool_blocks:16 segs in
+  let queries =
+    List.init 40 (fun _ -> Vquery.line ~x:(Rng.float rng 100.0))
+    |> List.filter (fun q -> Db.query_ids db q <> [])
+    |> Array.of_list
+  in
+  Alcotest.(check bool) "enough non-empty queries" true (Array.length queries >= 10);
+  let serial = Array.map (Db.query_ids db) queries in
+  let check label = function
+    | Exec.Degraded (out, faults) -> (
+        Alcotest.(check int) (label ^ ": one fault") 1 (List.length faults);
+        let slots = List.init (Array.length out) Fun.id in
+        match List.filter (fun i -> out.(i) <> serial.(i)) slots with
+        | [ i ] -> Alcotest.(check (list int)) (label ^ ": faulted slot empty") [] out.(i)
+        | wrong ->
+            Alcotest.failf "%s: %d answers differ from serial, expected 1" label
+              (List.length wrong))
+    | o ->
+        Alcotest.failf "%s: expected Degraded, got %s" label
+          (Format.asprintf "%a" Exec.pp_outcome o)
+  in
+  let arm () = Failpoint.arm [ ("segdb.query", Failpoint.plan ~at:5 Failpoint.Eio) ] in
+  Fun.protect ~finally:Failpoint.disarm (fun () ->
+      with_pool ~workers:1 (fun pool ->
+          List.iter
+            (fun domains ->
+              arm ();
+              check
+                (Printf.sprintf "run, %d domains" domains)
+                (fst (Exec.run pool db (Exec.request queries) ~domains)))
+            [ 1; 2 ];
+          arm ();
+          check "submit" (Exec.await (Exec.submit pool db (Exec.request queries)))))
+
 (* ---------------- deadline propagation ---------------- *)
 
 (* A request that expired while queued must answer [Deadline_exceeded]
@@ -238,6 +282,8 @@ let suite =
     [
       Alcotest.test_case "run matches serial on every backend" `Quick
         test_run_matches_serial;
+      Alcotest.test_case "a storage fault degrades run and submit alike" `Quick
+        test_degraded_from_both_entry_points;
       Alcotest.test_case "expired in the queue: refused unexecuted" `Quick
         test_deadline_expired_in_queue;
       Alcotest.test_case "deadline cuts a slow batch after the first answer" `Quick

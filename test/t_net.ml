@@ -383,9 +383,9 @@ let test_loopback_parity () =
           let qs = random_queries 7 in
           let served = Client.batch c qs in
           let local =
-            match
-              Exec.run (Exec.default ()) db (Exec.request ~degraded_ok:false qs) ~domains:2
-            with
+            let pool = Exec.create ~workers:1 () in
+            Fun.protect ~finally:(fun () -> Exec.shutdown pool) @@ fun () ->
+            match Exec.run pool db (Exec.request qs) ~domains:2 with
             | Exec.Ok out, _ -> out
             | o, _ ->
                 Alcotest.failf "local batch: %s" (Format.asprintf "%a" Exec.pp_outcome o)

@@ -599,7 +599,9 @@ let test_parallel_query_stats () =
   let qs = Array.init 40 (fun _ -> Segdb_geom.Vquery.line ~x:(Rng.float rng 100.0)) in
   let expect = Array.map (fun q -> Db.query_ids db q) qs in
   let batch ~domains =
-    Exec.run (Exec.default ()) db (Exec.request ~degraded_ok:false qs) ~domains
+    let pool = Exec.create ~workers:(domains - 1) () in
+    Fun.protect ~finally:(fun () -> Exec.shutdown pool) (fun () ->
+        Exec.run pool db (Exec.request qs) ~domains)
   in
   let outcome, stats = batch ~domains:3 in
   Alcotest.(check bool) "answers match serial" true (outcome = Exec.Ok expect);

@@ -80,7 +80,7 @@ let prop_queries_leave_no_trace =
                 | 2 ->
                     if use_reader then
                       let r = Vs.reader cfg in
-                      ignore (Vs.query_ids_r (module M) r t q)
+                      ignore (Vs.with_reader r (fun () -> Vs.query_ids (module M) t q))
                     else M.query t q ~f:ignore
                 | _ -> M.iter_all t ~f:ignore)
               queries
@@ -105,10 +105,12 @@ let prop_queries_leave_no_trace =
 
 (* ---------------- batch fan-out vs serial ---------------- *)
 
-(* The plain batch call: default pool, no deadline, no cancellation,
-   faults re-raised — so only [Ok] may come back. *)
+(* The plain batch call on a pool of its own: no deadline, no
+   cancellation and no faults armed — so only [Ok] may come back. *)
 let run_batch db qs ~domains =
-  match Exec.run (Exec.default ()) db (Exec.request ~degraded_ok:false qs) ~domains with
+  let pool = Exec.create ~workers:(domains - 1) () in
+  Fun.protect ~finally:(fun () -> Exec.shutdown pool) @@ fun () ->
+  match Exec.run pool db (Exec.request qs) ~domains with
   | Exec.Ok out, _ -> out
   | o, _ -> Alcotest.failf "expected Ok, got %s" (Format.asprintf "%a" Exec.pp_outcome o)
 
@@ -194,7 +196,7 @@ let test_reader_accounting () =
   let q = Vquery.line ~x:50.0 in
   let shared_before = Io_stats.snapshot cfg.Vs.stats in
   let r1 = Vs.reader ~cache_blocks:1024 cfg in
-  let ids = Vs.query_ids_r (module Segdb_core.Solution2) r1 t q in
+  let ids = Vs.with_reader r1 (fun () -> Vs.query_ids (module Segdb_core.Solution2) t q) in
   Alcotest.(check bool) "reader query leaves the shared counter alone" true
     (Io_stats.diff shared_before (Io_stats.snapshot cfg.Vs.stats)
     = { Io_stats.reads = 0; writes = 0; allocs = 0 });
@@ -203,10 +205,10 @@ let test_reader_accounting () =
   (* a second reader starts cold and pays its own way — before any
      serial query warms the shared pool *)
   let r2 = Vs.reader ~cache_blocks:1024 cfg in
-  ignore (Vs.query_ids_r (module Segdb_core.Solution2) r2 t q);
+  ignore (Vs.with_reader r2 (fun () -> Vs.query_ids (module Segdb_core.Solution2) t q));
   Alcotest.(check int) "independent reader pays the cold cost" first
     (Io_stats.reads (Vs.reader_io r2));
-  ignore (Vs.query_ids_r (module Segdb_core.Solution2) r1 t q);
+  ignore (Vs.with_reader r1 (fun () -> Vs.query_ids (module Segdb_core.Solution2) t q));
   let second = Io_stats.reads (Vs.reader_io r1) - first in
   Alcotest.(check bool)
     (Printf.sprintf "warm shard re-reads less (%d then %d)" first second)
